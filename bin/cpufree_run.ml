@@ -234,7 +234,7 @@ let verify_arg =
   Arg.(value & flag & info [ "verify" ] ~doc)
 
 let dims_conv =
-  let printer fmt d = Format.pp_print_string fmt (S.Problem.dims_to_string d) in
+  let printer fmt d = Format.pp_print_string fmt (S.Problem.dims_to_spec_string d) in
   Arg.conv
     ( (fun s -> Result.map_error (fun e -> `Msg e) (S.Problem.dims_of_string s)),
       printer )
@@ -288,6 +288,21 @@ let run_stencil common iters dims variant no_compute verify timeline chrome =
         exit 2)
   in
   let single = List.length kinds = 1 in
+  (* Artifact files record one run; a comparison sweep has none to record. *)
+  (if not single then
+     let given =
+       List.filter_map
+         (fun (flag, v) -> Option.map (fun _ -> flag) v)
+         [ ("--trace-out", common.trace_out); ("--metrics-out", common.metrics_out);
+           ("--chrome-trace", chrome) ]
+     in
+     if given <> [] then begin
+       Printf.eprintf
+         "stencil: %s records a single run and cannot be combined with a %d-variant \
+          comparison; choose one --variant\n"
+         (String.concat ", " given) (List.length kinds);
+       exit 2
+     end);
   let interpret kind =
     match
       S.Harness.of_scenario (stencil_scenario common ~single ~iters ~dims ~no_compute kind)

@@ -50,6 +50,7 @@ type channels =
    fault-free runs byte-identical to the pre-fail-stop layer. *)
 type group = {
   members : int array;  (* rank -> PE id, ascending *)
+  ranks : int array;  (* PE id -> rank, -1 for a non-member *)
   arrived : Nvshmem.signal;  (* counts contributions delivered to this PE *)
   chans : channels;
   gkey : string;  (* canonical dead-set key; "" = full membership *)
@@ -100,7 +101,8 @@ let create ?(algorithm = Dense) nv ~label =
      round-R+2 write can touch that bank. No barrier needed. *)
   let contrib = Nvshmem.sym_malloc nv ~label:(label ^ ".contrib") (2 * n) in
   let arrived = Nvshmem.signal_malloc nv ~label:(label ^ ".arrived") () in
-  let full = { members = Array.init n (fun pe -> pe); arrived; chans; gkey = "" } in
+  let identity = Array.init n Fun.id in
+  let full = { members = identity; ranks = identity; arrived; chans; gkey = "" } in
   let groups = Hashtbl.create 4 in
   Hashtbl.add groups "" full;
   {
@@ -154,10 +156,9 @@ let dead_now t =
 let dead_key dead = String.concat "." (List.map (fun (d, _) -> string_of_int d) dead)
 
 let rank_of g pe =
-  let r = ref (-1) in
-  Array.iteri (fun i q -> if q = pe then r := i) g.members;
-  if !r < 0 then invalid_arg (Printf.sprintf "Collective: PE %d is not a group member" pe);
-  !r
+  let r = g.ranks.(pe) in
+  if r < 0 then invalid_arg (Printf.sprintf "Collective: PE %d is not a group member" pe);
+  r
 
 let check_revoked t = if t.revoked then raise Revoked
 
@@ -330,7 +331,9 @@ let shrink t ~pe =
           let label = Printf.sprintf "%s.x%s" t.clabel key in
           let arrived = Nvshmem.signal_malloc t.nv ~label:(label ^ ".arrived") () in
           let chans = make_channels t.nv ~label ~m:(Array.length members) t.alg in
-          let g = { members; arrived; chans; gkey = key } in
+          let ranks = Array.make (n t) (-1) in
+          Array.iteri (fun r pe -> ranks.(pe) <- r) members;
+          let g = { members; ranks; arrived; chans; gkey = key } in
           Hashtbl.add t.groups key g;
           F.note_shrink plan;
           g
@@ -387,12 +390,7 @@ let gather_round t ~pe value =
 let reduce t ~pe ~init ~f value =
   let bank = gather_round t ~pe value in
   let own = Nvshmem.local t.contrib ~pe in
-  let g = t.pe_grp.(pe) in
-  let acc = ref init in
-  for slot = 0 to Array.length g.members - 1 do
-    acc := f !acc (G.Buffer.get own (bank + slot))
-  done;
-  !acc
+  G.Buffer.fold_range own ~pos:bank ~len:(Array.length t.pe_grp.(pe).members) f init
 
 let allreduce_sum t ~pe value = reduce t ~pe ~init:0.0 ~f:( +. ) value
 let allreduce_max t ~pe value = reduce t ~pe ~init:neg_infinity ~f:Float.max value

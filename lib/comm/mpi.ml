@@ -65,9 +65,9 @@ let start_transfer t ~src_rank ~dst_rank (send : posted) (recv : posted) =
   let arch = G.Runtime.arch t.ctx in
   let (_ : E.Engine.process) =
     E.Engine.spawn t.eng
-      ~name:(Printf.sprintf "mpi.msg.%d->%d" src_rank dst_rank)
+      ~lazy_name:(fun () -> Printf.sprintf "mpi.msg.%d->%d" src_rank dst_rank)
       (fun () ->
-        let lane = Printf.sprintf "gpu%d.mpi" src_rank in
+        let lane = G.Device.lane (G.Runtime.device t.ctx src_rank) "mpi" in
         let strided = region_strided send.reg || region_strided recv.reg in
         if strided then begin
           (* Non-contiguous datatype from device memory: the MPI library

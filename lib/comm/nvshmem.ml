@@ -134,22 +134,36 @@ let apply_signal sig_var pe op v =
   | Signal_set -> E.Sync.Flag.set flag v
   | Signal_add -> E.Sync.Flag.add flag v
 
-(* Run a delivery asynchronously on behalf of [from_pe], tracking it in the
-   PE's outstanding-op counter so that quiet/barrier can drain it. *)
+let lane t pe = G.Device.lane (G.Runtime.device t.ctx pe) "nvshmem"
+
+(* A delivery is written once, in continuation style: [sleep at k] wakes at
+   the absolute time [at] and runs [k]. An asynchronous put drives it as a
+   stackless process (each sleep is one engine event); a waiter replaying a
+   lost delivery drives it with ordinary blocking delays. Both push the
+   same events at the same times. *)
+type sleep = Time.t -> (unit -> unit) -> unit
+
+let blocking_sleep t at k =
+  E.Engine.delay t.eng (Time.sub at (E.Engine.now t.eng));
+  k ()
+
+(* Run a delivery asynchronously on behalf of [from_pe] as a stackless
+   process, tracking it in the PE's outstanding-op counter so that
+   quiet/barrier can drain it. The process name is formatted only if a
+   diagnostic lists it. *)
 let deliver_async t ~from_pe ~label body =
   E.Sync.Flag.add t.pending.(from_pe) 1;
   t.next_op <- t.next_op + 1;
-  let pname = Printf.sprintf "nvshmem.%s.pe%d.%d" label from_pe t.next_op in
+  let op = t.next_op in
   let (_ : E.Engine.process) =
-    E.Engine.spawn t.eng ~name:pname
+    E.Engine.spawn_stackless t.eng
+      ~lazy_name:(fun () -> Printf.sprintf "nvshmem.%s.pe%d.%d" label from_pe op)
       ~partition:(G.Runtime.gpu_partition t.ctx from_pe)
-      (fun () ->
-        body ();
-        E.Sync.Flag.add t.pending.(from_pe) (-1))
+      (fun proc ->
+        body (E.Engine.sleep_until t.eng proc) (fun () ->
+            E.Sync.Flag.add t.pending.(from_pe) (-1)))
   in
   ()
-
-let lane t pe = G.Device.lane (G.Runtime.device t.ctx pe) "nvshmem"
 
 (* Flow-arrow context drawn at issue time, when the trace records flows:
    a deterministic id unique across PEs in sender program order (issue
@@ -164,42 +178,56 @@ let flow_ctx t ~from_pe =
     Some (fid, lane t from_pe, E.Engine.now t.eng)
   end
 
-(* Wrap a delivery body so its remote arrival is traced as a span on the
+(* Wrap a delivery so its remote arrival is traced as a span on the
    destination's nvshmem lane and tied back to the issuing put by a flow
-   arrow. Runs in whatever process replays the delivery (the async
-   delivery process, or a recovering waiter on the fault path). *)
-let with_flow t fc ~to_pe ~label body () =
+   arrow. *)
+let with_flow t fc ~to_pe ~label body (sleep : sleep) k =
   match fc with
-  | None -> body ()
+  | None -> body sleep k
   | Some (fid, src_lane, src_t) ->
     let d0 = E.Engine.now t.eng in
-    body ();
-    let d1 = E.Engine.now t.eng in
-    let tr = E.Engine.trace t.eng in
-    E.Trace.add_opt tr ~lane:(lane t to_pe) ~label:("deliver:" ^ label)
-      ~kind:E.Trace.Communication ~t0:d0 ~t1:d1;
-    E.Trace.add_flow_opt tr ~id:fid ~label ~src_lane ~src_t ~dst_lane:(lane t to_pe)
-      ~dst_t:d1
+    body sleep (fun () ->
+        let d1 = E.Engine.now t.eng in
+        let tr = E.Engine.trace t.eng in
+        E.Trace.add_opt tr ~lane:(lane t to_pe) ~label:("deliver:" ^ label)
+          ~kind:E.Trace.Communication ~t0:d0 ~t1:d1;
+        E.Trace.add_flow_opt tr ~id:fid ~label ~src_lane ~src_t ~dst_lane:(lane t to_pe)
+          ~dst_t:d1;
+        k ())
 
 let mark_fault t ~pe ~label =
   let tr = E.Engine.trace t.eng in
   if E.Trace.flows_enabled tr then
     E.Trace.add_instant_opt tr ~lane:(lane t pe) ~label ~at:(E.Engine.now t.eng)
 
+(* The wire leg of a device-initiated put: book the route's ports now,
+   sleep until the last byte lands, record the span on the sender's lane. *)
+let wire t ~from_pe ~to_pe ~bytes ~label (sleep : sleep) k =
+  let t0 = E.Engine.now t.eng in
+  let landed =
+    G.Interconnect.book (net t) ~src:(G.Interconnect.Gpu from_pe)
+      ~dst:(G.Interconnect.Gpu to_pe) ~initiator:G.Interconnect.By_device ~bytes
+  in
+  sleep landed (fun () ->
+      (match E.Engine.trace t.eng with
+      | None -> ()
+      | Some tr ->
+        E.Trace.add tr ~lane:(lane t from_pe) ~label ~kind:E.Trace.Communication ~t0
+          ~t1:(E.Engine.now t.eng));
+      k ())
+
 (* One fabric delivery: wire transfer, data commit, then any attached
    signal — NVSHMEM's data-before-signal order, preserved verbatim when a
    recovery replays the delivery. *)
-let delivery t ~from_pe ~to_pe ~bytes ~label ~commit ~signal_after () =
-  let a = arch t in
-  G.Interconnect.transfer (net t) ~src:(G.Interconnect.Gpu from_pe)
-    ~dst:(G.Interconnect.Gpu to_pe) ~initiator:G.Interconnect.By_device ~bytes
-    ~trace_lane:(lane t from_pe) ~label ();
-  commit ();
-  match signal_after with
-  | None -> ()
-  | Some (sig_var, sig_op, sig_value) ->
-    E.Engine.delay t.eng a.G.Arch.nvshmem_signal;
-    apply_signal sig_var to_pe sig_op sig_value
+let delivery t ~from_pe ~to_pe ~bytes ~label ~commit ~signal_after (sleep : sleep) k =
+  wire t ~from_pe ~to_pe ~bytes ~label sleep (fun () ->
+      commit ();
+      match signal_after with
+      | None -> k ()
+      | Some (sig_var, sig_op, sig_value) ->
+        sleep (Time.add (E.Engine.now t.eng) (arch t).G.Arch.nvshmem_signal) (fun () ->
+            apply_signal sig_var to_pe sig_op sig_value;
+            k ()))
 
 (* The fate of the sender's next delivery, drawn (deterministically, in the
    sender's program order) at issue time. *)
@@ -219,6 +247,32 @@ let sender_dead t ~pe =
     let spec = F.spec_of plan in
     F.has_failstop spec && F.dead spec ~pe ~now:(E.Engine.now t.eng)
 
+(* Issue a delivery according to its fate: now, after an extra delay, or
+   never. [deliver wire_label] is the delivery, its wire span labelled
+   [wire_label]: [label] when it runs as issued, [resend_label ()] when a
+   waiter replays it with blocking delays. A dropped delivery still drains
+   the sender's queue slot (so quiet on an unrelated path does not hang
+   forever on a ghost op) and is filed for retransmission by whoever waits
+   on what it carried: the destination flag's resilient waiter for a
+   put+signal, the sender's [quiet] fence for a plain put. *)
+let dispatch t ~from_pe ~to_pe ~name ~label ~resend_label ~signal_after deliver =
+  match draw_fate t ~from_pe with
+  | F.Deliver -> deliver_async t ~from_pe ~label:name (deliver label)
+  | F.Delayed d ->
+    deliver_async t ~from_pe ~label:name (fun sleep k ->
+        sleep (Time.add (E.Engine.now t.eng) d) (fun () -> deliver label sleep k))
+  | F.Dropped ->
+    bump t (fun o -> o.m_drops);
+    mark_fault t ~pe:from_pe ~label:("fault:drop:" ^ label);
+    let key =
+      match signal_after with
+      | Some (sig_var, _, _) -> sig_key sig_var ~to_pe
+      | None -> put_key ~from_pe
+    in
+    let resend = deliver (resend_label ()) in
+    F.record_lost (Option.get t.faults) ~key (fun () -> resend (blocking_sleep t) ignore);
+    deliver_async t ~from_pe ~label:name (fun _ k -> k ())
+
 let put_common t ~from_pe ~to_pe ~bytes ~label ~commit ~signal_after =
   check_pe t from_pe "put";
   check_pe t to_pe "put";
@@ -227,35 +281,12 @@ let put_common t ~from_pe ~to_pe ~bytes ~label ~commit ~signal_after =
   E.Engine.delay t.eng (issue_overhead t);
   note_put t ~from_pe ~bytes;
   let fc = flow_ctx t ~from_pe in
-  let fate = draw_fate t ~from_pe in
-  let deliver =
-    with_flow t fc ~to_pe ~label
-      (delivery t ~from_pe ~to_pe ~bytes ~label ~commit ~signal_after)
-  in
-  match fate with
-  | F.Deliver -> deliver_async t ~from_pe ~label deliver
-  | F.Delayed d ->
-    deliver_async t ~from_pe ~label (fun () ->
-        E.Engine.delay t.eng d;
-        deliver ())
-  | F.Dropped ->
-    (* The fabric loses the packet: neither data nor signal arrives. The
-       sender's queue slot still drains (so quiet on an unrelated path
-       does not hang forever on a ghost op) and the delivery is filed for
-       retransmission by whoever waits on what it carried. *)
-    bump t (fun o -> o.m_drops);
-    mark_fault t ~pe:from_pe ~label:("fault:drop:" ^ label);
-    let plan = Option.get t.faults in
-    let key =
-      match signal_after with
-      | Some (sig_var, _, _) -> sig_key sig_var ~to_pe
-      | None -> put_key ~from_pe
-    in
-    F.record_lost plan ~key
-      (with_flow t fc ~to_pe ~label
-         (delivery t ~from_pe ~to_pe ~bytes ~label:(label ^ ".resend") ~commit
-            ~signal_after));
-    deliver_async t ~from_pe ~label (fun () -> ())
+  dispatch t ~from_pe ~to_pe ~name:label ~label
+    ~resend_label:(fun () -> label ^ ".resend")
+    ~signal_after
+    (fun wire_label ->
+      with_flow t fc ~to_pe ~label
+        (delivery t ~from_pe ~to_pe ~bytes ~label:wire_label ~commit ~signal_after))
   end
 
 let putmem_nbi t ~from_pe ~to_pe ~src ~src_pos ~dst ~dst_pos ~len =
@@ -285,29 +316,23 @@ let iput_nbi t ~from_pe ~to_pe ~src ~src_pos ~src_stride ~dst ~dst_pos ~dst_stri
   let a = arch t in
   let dst_buf = local dst ~pe:to_pe in
   let fc = flow_ctx t ~from_pe in
-  let deliver =
-    with_flow t fc ~to_pe ~label:"iput" (fun () ->
-        (* Element-wise remote stores: serialization plus a per-element
-           non-coalescing penalty on top of the port booking. *)
-        E.Engine.delay t.eng (Time.scale a.G.Arch.nvshmem_strided_elem (float_of_int count));
-        G.Interconnect.transfer (net t) ~src:(G.Interconnect.Gpu from_pe)
-          ~dst:(G.Interconnect.Gpu to_pe) ~initiator:G.Interconnect.By_device
-          ~bytes:(count * G.Buffer.elem_bytes)
-          ~trace_lane:(lane t from_pe) ~label:"iput" ();
-        G.Buffer.blit_strided ~src ~src_pos ~src_stride ~dst:dst_buf ~dst_pos ~dst_stride
-          ~count)
-  in
-  match draw_fate t ~from_pe with
-  | F.Deliver -> deliver_async t ~from_pe ~label:"iput_nbi" deliver
-  | F.Delayed d ->
-    deliver_async t ~from_pe ~label:"iput_nbi" (fun () ->
-        E.Engine.delay t.eng d;
-        deliver ())
-  | F.Dropped ->
-    bump t (fun o -> o.m_drops);
-    mark_fault t ~pe:from_pe ~label:"fault:drop:iput";
-    F.record_lost (Option.get t.faults) ~key:(put_key ~from_pe) deliver;
-    deliver_async t ~from_pe ~label:"iput_nbi" (fun () -> ())
+  (* Element-wise remote stores: serialization plus a per-element
+     non-coalescing penalty on top of the port booking. A replay keeps the
+     "iput" wire label. *)
+  dispatch t ~from_pe ~to_pe ~name:"iput_nbi" ~label:"iput"
+    ~resend_label:(fun () -> "iput")
+    ~signal_after:None
+    (fun wire_label ->
+      with_flow t fc ~to_pe ~label:"iput" (fun sleep k ->
+          sleep
+            (Time.add (E.Engine.now t.eng)
+               (Time.scale a.G.Arch.nvshmem_strided_elem (float_of_int count)))
+            (fun () ->
+              wire t ~from_pe ~to_pe ~bytes:(count * G.Buffer.elem_bytes) ~label:wire_label
+                sleep (fun () ->
+                  G.Buffer.blit_strided ~src ~src_pos ~src_stride ~dst:dst_buf ~dst_pos
+                    ~dst_stride ~count;
+                  k ()))))
   end
 
 let p t ~from_pe ~to_pe ~value ~dst ~dst_pos =
@@ -454,7 +479,7 @@ let signal_wait_until t ?expect_from ~pe ~sig_var pred =
   let flag = sig_var.flags.(pe) in
   let blocked = not (pred (E.Sync.Flag.get flag)) in
   let t0 = E.Engine.now t.eng in
-  let waits_on = Option.map G.Runtime.gpu_group expect_from in
+  let waits_on = if blocked then Option.map G.Runtime.gpu_group expect_from else None in
   (match t.faults with
   | Some plan when blocked && F.is_active (F.spec_of plan) ->
     resilient_wait t ~pe ~waits_on ~plan ~sig_var pred

@@ -1,18 +1,23 @@
-(* Why a process is blocked: the human-readable reason, the group it
-   waits on (a wait-for edge, when the caller knows who must resolve the
-   wait), when it blocked, and whether the wake is already scheduled (a
-   delay or a deadline — exempt from the stall watchdog, which hunts
-   waits that nothing pending can resolve). *)
-type waitinfo = { why : string; on_group : string option; since : Time.t; timed : bool }
+(* Why a process is blocked: the reason, rendered only when a report asks
+   for it, the group it waits on (a wait-for edge, when the caller knows
+   who must resolve the wait), when it blocked, and whether the wake is
+   already scheduled (a delay or a deadline — exempt from the stall
+   watchdog, which hunts waits that nothing pending can resolve). *)
+type waitinfo = { why : unit -> string; on_group : string option; since : Time.t; timed : bool }
 
 type state = Ready | Running | Blocked of waitinfo | Finished
 
+(* A process is either a fiber (its body runs under the effect handler and
+   blocks with [delay]/[suspend]) or stackless (its body is a chain of
+   timed callbacks linked by [sleep_until]). Both carry the same record:
+   pid, partition, state, registry entry and a name built on demand. *)
 type process = {
   pid : int;
-  name : string;
+  pname : unit -> string;
   daemon : bool;
   part : int;
   group : string option;
+  stackless : bool;
   mutable state : state;
 }
 
@@ -39,9 +44,86 @@ type msg = {
   mutable m_done_pos : int;
 }
 
+(* The event queue: an array-backed binary min-heap specialised to the
+   engine's (at, seq, part) order, so the sifts compare three ints inline
+   instead of calling a comparison closure. The order is total (no two
+   events share a triple), so the pop order is the same as any other heap's.
+   Vacated slots are reset to [dummy] so popped thunks can be collected. *)
+module Evq = struct
+  type t = { mutable data : event array; mutable size : int }
+
+  let dummy = { at = Time.zero; seq = 0; part = 0; thunk = ignore }
+  let create () = { data = [||]; size = 0 }
+  let is_empty q = q.size = 0
+
+  let before a b =
+    let ta = (a.at :> int) and tb = (b.at :> int) in
+    ta < tb || (ta = tb && (a.seq < b.seq || (a.seq = b.seq && a.part < b.part)))
+
+  let push q x =
+    let cap = Array.length q.data in
+    if q.size = cap then begin
+      let ndata = Array.make (Stdlib.max 8 (2 * cap)) dummy in
+      Array.blit q.data 0 ndata 0 q.size;
+      q.data <- ndata
+    end;
+    let data = q.data in
+    let i = ref q.size in
+    q.size <- q.size + 1;
+    while
+      !i > 0
+      &&
+      let parent = (!i - 1) / 2 in
+      before x (Array.unsafe_get data parent)
+    do
+      let parent = (!i - 1) / 2 in
+      Array.unsafe_set data !i (Array.unsafe_get data parent);
+      i := parent
+    done;
+    Array.unsafe_set data !i x
+
+  (* The smallest event; the queue must not be empty. *)
+  let top q = q.data.(0)
+
+  (* Remove and return the smallest event; the queue must not be empty. *)
+  let pop q =
+    let data = q.data in
+    let top = data.(0) in
+    let n = q.size - 1 in
+    q.size <- n;
+    let x = Array.unsafe_get data n in
+    Array.unsafe_set data n dummy;
+    if n > 0 then begin
+      let i = ref 0 in
+      let moving = ref true in
+      while !moving do
+        let l = (2 * !i) + 1 in
+        if l >= n then moving := false
+        else begin
+          let r = l + 1 in
+          let c =
+            if r < n && before (Array.unsafe_get data r) (Array.unsafe_get data l) then r else l
+          in
+          let dc = Array.unsafe_get data c in
+          if before dc x then begin
+            Array.unsafe_set data !i dc;
+            i := c
+          end
+          else moving := false
+        end
+      done;
+      Array.unsafe_set data !i x
+    end;
+    top
+
+  (* Independent queue with the same events (shared): what optimistic
+     partition checkpoints are made of. *)
+  let copy q = { data = Array.sub q.data 0 q.size; size = q.size }
+end
+
 type partition = {
   id : int;
-  mutable queue : event Heap.t; (* mutable so a rollback can swap in a checkpoint copy *)
+  mutable queue : Evq.t; (* mutable so a rollback can swap in a checkpoint copy *)
   mutable pclock : Time.t; (* partition-local clock (windowed mode) *)
   mutable pseq : int; (* partition-local tie-break counter (windowed mode) *)
   mutable pexec : int; (* events executed in this partition *)
@@ -102,19 +184,12 @@ exception Stall of stall_report
 
 type _ Effect.t +=
   | Delay : t * Time.t -> unit Effect.t
-  | Suspend : t * string * string option * ((unit -> unit) -> unit) -> unit Effect.t
-
-let cmp_event a b =
-  let c = Time.compare a.at b.at in
-  if c <> 0 then c
-  else
-    let c = Int.compare a.seq b.seq in
-    if c <> 0 then c else Int.compare a.part b.part
+  | Suspend : t * (unit -> string) * string option * ((unit -> unit) -> unit) -> unit Effect.t
 
 let make_partition id =
   {
     id;
-    queue = Heap.create ~cmp:cmp_event;
+    queue = Evq.create ();
     pclock = Time.zero;
     pseq = 0;
     pexec = 0;
@@ -195,7 +270,7 @@ let push_into t p at thunk =
       t.seq <- t.seq + 1;
       t.seq
   in
-  Heap.push p.queue { at; seq; part = p.id; thunk }
+  Evq.push p.queue { at; seq; part = p.id; thunk }
 
 let schedule_at t at thunk =
   if Time.(at < now t) then invalid_arg "Engine.schedule_at: time in the past";
@@ -254,20 +329,26 @@ let post t ~partition ~at thunk =
     if Time.(at < t.clock) then invalid_arg "Engine.post: time in the past";
     push_into t t.parts.(partition) at thunk
 
+let delay_reason () = "delay"
+
+(* Clock of the partition a process belongs to: partition-local inside a
+   windowed or optimistic run, global otherwise. *)
+let part_clock t p = match t.phase with Win | Opt -> p.pclock | Idle | Seq -> t.clock
+
+let finish_process t proc =
+  proc.state <- Finished;
+  let p = t.parts.(proc.part) in
+  if not proc.daemon then p.plive <- p.plive - 1;
+  (* Drop the record so long sweeps don't retain one per spawned kernel;
+     [blocked_descriptions] only ever reports live processes. *)
+  Hashtbl.remove p.procs proc.pid
+
 let exec_process t proc body =
   let open Effect.Deep in
-  let finish () =
-    proc.state <- Finished;
-    let p = t.parts.(proc.part) in
-    if not proc.daemon then p.plive <- p.plive - 1;
-    (* Drop the record so long sweeps don't retain one per spawned kernel;
-       [blocked_descriptions] only ever reports live processes. *)
-    Hashtbl.remove p.procs proc.pid
-  in
   match_with body ()
     {
-      retc = (fun () -> finish ());
-      exnc = (fun e -> finish (); raise e);
+      retc = (fun () -> finish_process t proc);
+      exnc = (fun e -> finish_process t proc; raise e);
       effc =
         (fun (type a) (eff : a Effect.t) ->
           match eff with
@@ -275,22 +356,16 @@ let exec_process t proc body =
             Some
               (fun (k : (a, unit) continuation) ->
                 let p = t.parts.(proc.part) in
-                let base =
-                  match t.phase with Win | Opt -> p.pclock | Idle | Seq -> t.clock
-                in
+                let base = part_clock t p in
                 proc.state <-
-                  Blocked { why = "delay"; on_group = None; since = base; timed = true };
+                  Blocked { why = delay_reason; on_group = None; since = base; timed = true };
                 push_into t p (Time.add base d) (fun () ->
                     proc.state <- Running;
                     continue k ()))
           | Suspend (eng, reason, waits_on, register) when eng == t ->
             Some
               (fun (k : (a, unit) continuation) ->
-                let since =
-                  match t.phase with
-                  | Win | Opt -> t.parts.(proc.part).pclock
-                  | Idle | Seq -> t.clock
-                in
+                let since = part_clock t t.parts.(proc.part) in
                 proc.state <- Blocked { why = reason; on_group = waits_on; since; timed = false };
                 let woken = ref false in
                 register (fun () ->
@@ -306,19 +381,19 @@ let exec_process t proc body =
                                   "partition %d woke process %s(#%d) of partition %d inside \
                                    a window; cross-partition signalling must go through \
                                    Engine.post"
-                                  (Domain.DLS.get dls_part) proc.name proc.pid proc.part))
+                                  (Domain.DLS.get dls_part) (proc.pname ()) proc.pid proc.part))
                       | Idle | Seq -> ());
-                      let at =
-                        match t.phase with Win | Opt -> p.pclock | Idle | Seq -> t.clock
-                      in
-                      push_into t p at (fun () ->
+                      push_into t p (part_clock t p) (fun () ->
                           proc.state <- Running;
                           continue k ())
                     end))
           | _ -> None);
     }
 
-let spawn t ?(name = "proc") ?(daemon = false) ?partition ?group body =
+(* Register a new process and schedule [start] as its first event at the
+   current time: the pid, partition checks, live count and registry entry
+   every kind of process shares. *)
+let register t ~fn ~name ~daemon ~partition ~group ~stackless start =
   let np = Array.length t.parts in
   let part =
     match partition with
@@ -328,7 +403,7 @@ let spawn t ?(name = "proc") ?(daemon = false) ?partition ?group body =
          can tag its processes unconditionally. *)
       if np = 1 then 0
       else begin
-        check_partition t p "spawn";
+        check_partition t p fn;
         p
       end
   in
@@ -340,29 +415,69 @@ let spawn t ?(name = "proc") ?(daemon = false) ?partition ?group body =
            (Printf.sprintf
               "spawn of %s into partition %d from partition %d inside a window; post a \
                message that spawns locally instead"
-              name part (Domain.DLS.get dls_part)))
+              (name ()) part (Domain.DLS.get dls_part)))
   | Opt ->
-    (* A process is a one-shot continuation: it cannot be checkpointed, so
-       it cannot be rolled back. The optimistic driver refuses to start when
-       processes exist; creating one mid-run is equally unsupported. *)
+    (* A process cannot be checkpointed, so it cannot be rolled back: a
+       fiber is a one-shot continuation, and a stackless chain's pending
+       step is a closure over live model state. The optimistic driver
+       refuses to start when processes exist; creating one mid-run is
+       equally unsupported. *)
     invalid_arg
       (Printf.sprintf
-         "Engine.spawn: cannot spawn %S during an optimistic run; processes (one-shot \
+         "Engine.%s: cannot spawn %S during an optimistic run; processes (one-shot \
           continuations) cannot be checkpointed for rollback"
-         name)
+         fn (name ()))
   | Idle | Seq -> ());
   let pid = Atomic.fetch_and_add t.next_pid 1 + 1 in
-  let proc = { pid; name; daemon; part; group; state = Ready } in
+  let proc = { pid; pname = name; daemon; part; group; stackless; state = Ready } in
   let p = t.parts.(part) in
   if not daemon then p.plive <- p.plive + 1;
   Hashtbl.replace p.procs pid proc;
-  let base = match t.phase with Win | Opt -> p.pclock | Idle | Seq -> t.clock in
-  push_into t p base (fun () ->
+  push_into t p (part_clock t p) (fun () ->
       proc.state <- Running;
-      exec_process t proc body);
+      start proc);
   proc
 
-let process_name p = p.name
+let name_of name lazy_name =
+  match (name, lazy_name) with
+  | _, Some f -> f
+  | Some n, None -> fun () -> n
+  | None, None -> fun () -> "proc"
+
+let spawn t ?name ?lazy_name ?(daemon = false) ?partition ?group body =
+  register t ~fn:"spawn" ~name:(name_of name lazy_name) ~daemon ~partition ~group
+    ~stackless:false (fun proc -> exec_process t proc body)
+
+(* One step of a stackless process: run the callback; if it did not chain
+   another step with [sleep_until], the process is done. *)
+let run_step t proc k =
+  (match k () with
+  | () -> ()
+  | exception e ->
+    finish_process t proc;
+    raise e);
+  match proc.state with
+  | Running -> finish_process t proc
+  | Blocked _ | Ready | Finished -> ()
+
+let spawn_stackless t ?name ?lazy_name ?partition body =
+  register t ~fn:"spawn_stackless" ~name:(name_of name lazy_name) ~daemon:false ~partition
+    ~group:None ~stackless:true (fun proc -> run_step t proc (fun () -> body proc))
+
+let sleep_until t proc at k =
+  if not proc.stackless then invalid_arg "Engine.sleep_until: not a stackless process";
+  (match proc.state with
+  | Running -> ()
+  | Ready | Blocked _ | Finished -> invalid_arg "Engine.sleep_until: process is not running");
+  let p = t.parts.(proc.part) in
+  let base = part_clock t p in
+  if Time.(at < base) then invalid_arg "Engine.sleep_until: time in the past";
+  proc.state <- Blocked { why = delay_reason; on_group = None; since = base; timed = true };
+  push_into t p at (fun () ->
+      proc.state <- Running;
+      run_step t proc k)
+
+let process_name p = p.pname ()
 let process_done p = p.state = Finished
 let process_partition (p : process) = p.part
 
@@ -374,7 +489,7 @@ let suspend t ~reason ?waits_on register =
 
 let process_group p = p.group
 
-let live t = Array.fold_left (fun acc p -> acc + p.plive) 0 t.parts
+let live_processes t = Array.fold_left (fun acc p -> acc + p.plive) 0 t.parts
 let events_executed t = Array.fold_left (fun acc p -> acc + p.pexec) 0 t.parts
 let windows_executed t = t.windows_total
 let stall_scans t = t.stall_scan_count
@@ -422,7 +537,7 @@ let blocked_descriptions t =
          let edge =
            match w.on_group with Some g -> Printf.sprintf " <- waits on %s" g | None -> ""
          in
-         Printf.sprintf "%s(#%d)%s: %s (since %s)%s" proc.name proc.pid where w.why
+         Printf.sprintf "%s(#%d)%s: %s (since %s)%s" (proc.pname ()) proc.pid where (w.why ())
            (Time.to_string w.since) edge)
 
 (* Wait-for cycle over process groups: an edge [g -> h] for every blocked
@@ -526,21 +641,21 @@ let watchdog_check t now_ =
     | None -> t.watch_next <- Time.add now_ w)
   | Some _ | None -> ()
 
-(* Smallest (at, seq, part) head across all partition queues. *)
-let pop_global t =
-  if Array.length t.parts = 1 then Heap.pop t.parts.(0).queue
+(* Index of the partition whose queue head is the smallest (at, seq, part)
+   event across all partitions; -1 when every queue is empty. *)
+let next_part t =
+  let parts = t.parts in
+  if Array.length parts = 1 then if Evq.is_empty parts.(0).queue then -1 else 0
   else begin
-    let best = ref None in
-    Array.iter
-      (fun p ->
-        match Heap.peek p.queue with
-        | None -> ()
-        | Some ev -> (
-          match !best with
-          | Some b when cmp_event b ev <= 0 -> ()
-          | Some _ | None -> best := Some ev))
-      t.parts;
-    match !best with None -> None | Some ev -> Heap.pop t.parts.(ev.part).queue
+    let best = ref (-1) in
+    for i = 0 to Array.length parts - 1 do
+      let q = parts.(i).queue in
+      if
+        (not (Evq.is_empty q))
+        && (!best < 0 || Evq.before (Evq.top q) (Evq.top parts.(!best).queue))
+      then best := i
+    done;
+    !best
   end
 
 let run ?until t =
@@ -549,30 +664,29 @@ let run ?until t =
   let multi = Array.length t.parts > 1 in
   if multi then Domain.DLS.set dls_part 0;
   let finish () = t.phase <- Idle in
-  let stop_requested = ref false in
   (match t.watchdog with
   | Some w -> t.watch_next <- Time.add t.clock w
   | None -> ());
   let rec loop () =
-    if !stop_requested then ()
-    else
-      match pop_global t with
-      | None -> if live t > 0 then raise (Deadlock (deadlock_report t))
-      | Some ev ->
-        (match until with
-        | Some limit when Time.(ev.at > limit) ->
-          (* Put the event back so a later [run] can resume seamlessly. *)
-          Heap.push t.parts.(ev.part).queue ev;
-          t.clock <- limit;
-          stop_requested := true
-        | Some _ | None ->
-          t.clock <- ev.at;
-          watchdog_check t ev.at;
-          if multi then Domain.DLS.set dls_part ev.part;
-          let p = t.parts.(ev.part) in
-          p.pexec <- p.pexec + 1;
-          ev.thunk ());
+    let i = next_part t in
+    if i < 0 then begin
+      if live_processes t > 0 then raise (Deadlock (deadlock_report t))
+    end
+    else begin
+      let p = t.parts.(i) in
+      match until with
+      | Some limit when Time.((Evq.top p.queue).at > limit) ->
+        (* Leave the event queued so a later [run] can resume seamlessly. *)
+        t.clock <- limit
+      | Some _ | None ->
+        let ev = Evq.pop p.queue in
+        t.clock <- ev.at;
+        watchdog_check t ev.at;
+        if multi then Domain.DLS.set dls_part i;
+        p.pexec <- p.pexec + 1;
+        ev.thunk ();
         loop ()
+    end
   in
   Fun.protect ~finally:finish loop
 
@@ -669,13 +783,13 @@ let conservative_loop t ~jobs ~next_wend ~want_pool =
     try
       let continue_ = ref true in
       while !continue_ do
-        match Heap.peek p.queue with
-        | Some ev when Time.(ev.at < t.wend) ->
-          ignore (Heap.pop p.queue : event option);
+        if (not (Evq.is_empty p.queue)) && Time.((Evq.top p.queue).at < t.wend) then begin
+          let ev = Evq.pop p.queue in
           p.pclock <- ev.at;
           p.pexec <- p.pexec + 1;
           ev.thunk ()
-        | Some _ | None -> continue_ := false
+        end
+        else continue_ := false
       done
     with e -> p.pexn <- Some (e, Printexc.get_raw_backtrace ())
   in
@@ -687,7 +801,7 @@ let conservative_loop t ~jobs ~next_wend ~want_pool =
       while !running do
         match next_wend () with
         | None ->
-          if live t > 0 then raise (Deadlock (deadlock_report t));
+          if live_processes t > 0 then raise (Deadlock (deadlock_report t));
           running := false
         | Some wend ->
           t.wend <- wend;
@@ -753,12 +867,10 @@ let run_windowed ?jobs ~lookahead t =
       let floor =
         Array.fold_left
           (fun acc p ->
-            match Heap.peek p.queue with
-            | None -> acc
-            | Some ev -> (
-              match acc with
-              | None -> Some ev.at
-              | Some a -> Some (Time.min a ev.at)))
+            if Evq.is_empty p.queue then acc
+            else
+              let at = (Evq.top p.queue).at in
+              match acc with None -> Some at | Some a -> Some (Time.min a at))
           None t.parts
       in
       match floor with None -> None | Some f -> Some (Time.add f lookahead)
@@ -798,11 +910,10 @@ let run_adaptive ?jobs ?lookahead_of ~lookahead t =
     let next_wend () =
       Array.fold_left
         (fun acc p ->
-          match Heap.peek p.queue with
-          | None -> acc
-          | Some ev -> (
-            let w = Time.add ev.at la.(p.id) in
-            match acc with None -> Some w | Some a -> Some (Time.min a w)))
+          if Evq.is_empty p.queue then acc
+          else
+            let w = Time.add (Evq.top p.queue).at la.(p.id) in
+            match acc with None -> Some w | Some a -> Some (Time.min a w))
         None t.parts
     in
     (* Density throttle: fan out to the pool only while the recent
@@ -827,7 +938,7 @@ type ckpt = {
   c_pseq : int;
   c_pexec : int;
   c_out_idx : int;
-  c_queue : event Heap.t;
+  c_queue : Evq.t;
   c_done_len : int;
   c_sent_len : int;
   c_trace : Trace.mark option;
@@ -905,7 +1016,7 @@ let run_optimistic ?jobs ?horizon ?max_horizon ?on_gvt ~lookahead t =
           c_pseq = p.pseq;
           c_pexec = p.pexec;
           c_out_idx = p.out_idx;
-          c_queue = Heap.copy p.queue;
+          c_queue = Evq.copy p.queue;
           c_done_len = done_len.(i);
           c_sent_len = sent_len.(i);
           c_trace = (match p.ptrace with Some tr -> Some (Trace.mark tr) | None -> None);
@@ -927,7 +1038,8 @@ let run_optimistic ?jobs ?horizon ?max_horizon ?on_gvt ~lookahead t =
     (* Earliest unprocessed item of partition [i]: queue head or pending
        message, whichever is sooner. *)
     let next_time i =
-      let e = match Heap.peek t.parts.(i).queue with Some ev -> Some ev.at | None -> None in
+      let q = t.parts.(i).queue in
+      let e = if Evq.is_empty q then None else Some (Evq.top q).at in
       let m = match inbox_head i with Some m -> Some m.m_at | None -> None in
       match (e, m) with
       | None, x | x, None -> x
@@ -991,8 +1103,9 @@ let run_optimistic ?jobs ?horizon ?max_horizon ?on_gvt ~lookahead t =
       try
         let continue_ = ref true in
         while !continue_ do
+          let head = if Evq.is_empty p.queue then None else Some (Evq.top p.queue) in
           let pick =
-            match (Heap.peek p.queue, inbox_head i) with
+            match (head, inbox_head i) with
             | None, None -> None
             | Some ev, None -> if Time.(ev.at < hend) then Some (Either.Left ev) else None
             | None, Some m -> if Time.(m.m_at < hend) then Some (Either.Right m) else None
@@ -1005,7 +1118,7 @@ let run_optimistic ?jobs ?horizon ?max_horizon ?on_gvt ~lookahead t =
           match pick with
           | None -> continue_ := false
           | Some (Either.Left ev) ->
-            ignore (Heap.pop p.queue : event option);
+            ignore (Evq.pop p.queue : event);
             p.pclock <- ev.at;
             p.pexec <- p.pexec + 1;
             ev.thunk ()
@@ -1054,7 +1167,7 @@ let run_optimistic ?jobs ?horizon ?max_horizon ?on_gvt ~lookahead t =
         ckpts.(i) <- kept;
         t.opt_undone_total <- t.opt_undone_total + (p.pexec - c.c_pexec);
         c.c_restore ();
-        p.queue <- Heap.copy c.c_queue;
+        p.queue <- Evq.copy c.c_queue;
         p.pclock <- c.c_pclock;
         p.pseq <- c.c_pseq;
         p.pexec <- c.c_pexec;

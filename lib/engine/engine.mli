@@ -105,10 +105,16 @@ val trace : t -> Trace.t option
     global sink otherwise. *)
 
 val spawn :
-  t -> ?name:string -> ?daemon:bool -> ?partition:int -> ?group:string ->
-  (unit -> unit) -> process
+  t -> ?name:string -> ?lazy_name:(unit -> string) -> ?daemon:bool -> ?partition:int ->
+  ?group:string -> (unit -> unit) -> process
 (** Register a process to start at the current simulation time. May be called
     before [run] or from inside another process.
+
+    [lazy_name], when given, replaces [name] (default ["proc"]): it is called
+    only when a diagnostic ({!Deadlock}, {!Stall}, {!blocked_descriptions},
+    {!process_name}) renders the process, so a hot spawn site pays for a
+    closure instead of a formatted string. It should read only values
+    captured at the spawn.
 
     [partition] assigns the process to a partition (default: the partition of
     the spawning process, or 0). On a single-partition engine the hint is
@@ -126,6 +132,29 @@ val spawn :
     are exempt from deadlock detection: when only daemons remain blocked,
     {!run} returns normally. *)
 
+val spawn_stackless :
+  t -> ?name:string -> ?lazy_name:(unit -> string) -> ?partition:int -> (process -> unit) ->
+  process
+(** Register a {e stackless} process: one whose body is a chain of timed
+    callbacks instead of a fiber. The body runs as the process's first
+    event, at the current time, and is handed the process; each step either
+    chains the next one with {!sleep_until} or returns, which finishes the
+    process. A step must not block ({!delay} and {!suspend} need a fiber).
+
+    Apart from the missing stack it is a process like any other: its pid is
+    drawn in spawn order, it counts in the live set and the registry until
+    it finishes, it reports as ["delay (since T)"] while it sleeps, and it is
+    refused inside a window or during an optimistic run exactly as {!spawn}
+    is. Because no continuation is captured, starting and resuming one costs
+    a closure rather than a fiber. *)
+
+val sleep_until : t -> process -> Time.t -> (unit -> unit) -> unit
+(** [sleep_until t proc at k], called from the running step of the
+    stackless process [proc], blocks [proc] until the absolute time [at] (no
+    earlier than now) and then runs [k] as its next step. The event is
+    pushed exactly as {!delay} would push it, so a chain of [sleep_until]s
+    replays a fiber's delays event for event. *)
+
 val process_name : process -> string
 val process_done : process -> bool
 val process_partition : process -> int
@@ -138,8 +167,11 @@ val yield : t -> unit
 (** Re-enqueue the calling process at the current time, letting other events
     scheduled at this instant run first. *)
 
-val suspend : t -> reason:string -> ?waits_on:string -> ((unit -> unit) -> unit) -> unit
-(** [suspend t ~reason register] blocks the calling process. [register] is
+val suspend :
+  t -> reason:(unit -> string) -> ?waits_on:string -> ((unit -> unit) -> unit) -> unit
+(** [suspend t ~reason register] blocks the calling process. [reason] is
+    rendered only when a diagnostic lists the blocked process, so it should
+    read values captured at the call, not live state. [register] is
     called immediately with a waker; invoking the waker (from any other
     process, at any later time) resumes the suspended process at the
     simulation time of the waker call. Calling the waker more than once is
@@ -289,6 +321,10 @@ val last_gvt : t -> Time.t
 val registered_state_providers : t -> int
 (** Model-state savers registered via {!register_state}, over all
     partitions. *)
+
+val live_processes : t -> int
+(** Non-daemon processes not yet finished, of either kind: what keeps
+    {!run} going and what {!Deadlock} is raised over. *)
 
 val registered_processes : t -> int
 (** Live (not yet finished) processes currently in the registry. Finished

@@ -1,9 +1,10 @@
 (** Array-backed binary min-heap.
 
-    Used as the simulation event queue. Elements are ordered by a comparison
-    function supplied at creation; ties must be broken by the caller (the
-    engine uses a monotonically increasing sequence number) so that the heap
-    order is total and runs are reproducible. *)
+    Elements are ordered by a comparison function supplied at creation; ties
+    must be broken by the caller so that the heap order is total and runs
+    are reproducible. The optimistic driver queues pending cross-partition
+    messages in one; the engine's event queue is a separate heap
+    specialised to its (time, sequence, partition) order. *)
 
 type 'a t
 
@@ -19,11 +20,6 @@ val pop : 'a t -> 'a option
 (** Remove and return the smallest element. *)
 
 val clear : 'a t -> unit
-
-val copy : 'a t -> 'a t
-(** Independent heap with the same contents (elements shared, structure
-    duplicated): mutations on either side never affect the other. The
-    optimistic PDES driver checkpoints partition event queues with this. *)
 
 val to_list_unordered : 'a t -> 'a list
 (** Current contents in unspecified order (for diagnostics). *)

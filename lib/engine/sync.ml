@@ -13,9 +13,12 @@ module Flag = struct
   let get t = t.value
 
   let wake_satisfied t =
-    let ready, still = List.partition (fun w -> w.pred t.value) t.waiters in
-    t.waiters <- still;
-    List.iter (fun w -> w.wake ()) ready
+    match t.waiters with
+    | [] -> ()
+    | waiters ->
+      let ready, still = List.partition (fun w -> w.pred t.value) waiters in
+      t.waiters <- still;
+      List.iter (fun w -> w.wake ()) ready
 
   let set t v =
     t.value <- v;
@@ -24,11 +27,13 @@ module Flag = struct
   let add t d = set t (t.value + d)
 
   (* Re-check after waking: another process scheduled at the same instant may
-     have changed the value between the wake and the resume. *)
+     have changed the value between the wake and the resume. Wait reasons
+     capture the value at the call and are formatted only if a report asks. *)
   let rec wait_until ?waits_on t pred =
     if not (pred t.value) then begin
+      let v = t.value in
       Engine.suspend t.eng
-        ~reason:(Printf.sprintf "flag %s (value %d)" t.fname t.value)
+        ~reason:(fun () -> Printf.sprintf "flag %s (value %d)" t.fname v)
         ?waits_on
         (fun wake -> t.waiters <- { pred; wake } :: t.waiters);
       wait_until ?waits_on t pred
@@ -47,10 +52,10 @@ module Flag = struct
       else if Time.(Engine.now t.eng >= deadline) then `Timeout
       else begin
         let timed_out = ref false in
+        let v = t.value in
         Engine.suspend t.eng
-          ~reason:
-            (Printf.sprintf "flag %s (value %d, deadline %s)" t.fname t.value
-               (Time.to_string deadline))
+          ~reason:(fun () ->
+            Printf.sprintf "flag %s (value %d, deadline %s)" t.fname v (Time.to_string deadline))
           ?waits_on
           (fun wake ->
             t.waiters <- { pred = (fun v -> !timed_out || pred v); wake } :: t.waiters;
@@ -98,9 +103,10 @@ module Barrier = struct
     end
     else
       while t.gen = gen do
+        let arrived = t.arrived in
         Engine.suspend t.eng
-          ~reason:
-            (Printf.sprintf "barrier %s (gen %d, %d/%d)" t.bname t.gen t.arrived t.parties)
+          ~reason:(fun () ->
+            Printf.sprintf "barrier %s (gen %d, %d/%d)" t.bname gen arrived t.parties)
           (fun wake -> t.waiters <- wake :: t.waiters)
       done
 end
@@ -129,7 +135,7 @@ module Mailbox = struct
     | Some x -> x
     | None ->
       Engine.suspend t.eng
-        ~reason:(Printf.sprintf "mailbox %s" t.mname)
+        ~reason:(fun () -> "mailbox " ^ t.mname)
         (fun wake -> Queue.push wake t.waiters);
       recv t
 
@@ -191,7 +197,7 @@ module Semaphore = struct
     if t.count > 0 then t.count <- t.count - 1
     else begin
       Engine.suspend t.eng
-        ~reason:(Printf.sprintf "semaphore %s" t.sname)
+        ~reason:(fun () -> "semaphore " ^ t.sname)
         (fun wake -> Queue.push wake t.waiters);
       acquire t
     end

@@ -9,7 +9,8 @@ val engine : t -> Cpufree_engine.Engine.t
 
 val lane : t -> string -> string
 (** [lane dev "comp"] is ["gpu<id>.comp"] — the timeline lane for a
-    sub-activity of this device. *)
+    sub-activity of this device. Memoised per device: a repeated lane
+    costs a lookup, not a formatted string. *)
 
 val main_lane : t -> string
 (** ["gpu<id>"]. *)

@@ -323,10 +323,10 @@ let fault_hold t ~src ~dst =
   | Some plan ->
     fst (F.fabric_penalty plan ~now:(E.Engine.now t.eng) ~inter_node:(inter_node t ~src ~dst))
 
-let transfer t ~src ~dst ~initiator ~bytes ?trace_lane ?(label = "xfer") () =
+let book t ~src ~dst ~initiator ~bytes =
   check_endpoint t src;
   check_endpoint t dst;
-  if bytes < 0 then invalid_arg "Interconnect.transfer: negative size";
+  if bytes < 0 then invalid_arg "Interconnect: negative transfer size";
   let e = entry_for t ~src ~dst in
   let latency = path_latency t e ~initiator in
   let dur = serialization_time e ~bytes in
@@ -342,10 +342,9 @@ let transfer t ~src ~dst ~initiator ~bytes ?trace_lane ?(label = "xfer") () =
       ( Time.add latency extra,
         if Float.equal mult 1.0 then dur else Time.scale dur mult )
   in
-  let t0 = E.Engine.now t.eng in
   let finish =
     match e.e_ports with
-    | [||] -> Time.add (Time.add t0 latency) dur
+    | [||] -> Time.add (Time.add (E.Engine.now t.eng) latency) dur
     | ps ->
       let start = E.Sync.Resource.book_many (Array.to_list ps) ~duration:dur in
       Time.add (Time.add start latency) dur
@@ -364,6 +363,11 @@ let transfer t ~src ~dst ~initiator ~bytes ?trace_lane ?(label = "xfer") () =
         Mx.Counter.add ~slot o.m_port_bytes.(pid) bytes;
         Mx.Counter.add ~slot o.m_port_busy.(pid) dur_ns)
       e.e_pids);
+  finish
+
+let transfer t ~src ~dst ~initiator ~bytes ?trace_lane ?(label = "xfer") () =
+  let t0 = E.Engine.now t.eng in
+  let finish = book t ~src ~dst ~initiator ~bytes in
   E.Engine.delay t.eng (Time.sub finish t0);
   match trace_lane with
   | None -> ()

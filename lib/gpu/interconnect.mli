@@ -89,12 +89,19 @@ val fault_hold : t -> src:endpoint -> dst:endpoint -> Cpufree_engine.Time.t
     an active plan. Used by the NVSHMEM layer for standalone signal ops,
     which bypass {!transfer}. *)
 
+val book :
+  t -> src:endpoint -> dst:endpoint -> initiator:initiator -> bytes:int -> Cpufree_engine.Time.t
+(** Book a transfer starting now without blocking: reserves every port on
+    the route, counts the transfer and its bytes, and returns the absolute
+    time its last byte lands. Callers that cannot block (stackless
+    processes) sleep until that time themselves. *)
+
 val transfer :
   t -> src:endpoint -> dst:endpoint -> initiator:initiator -> bytes:int ->
   ?trace_lane:string -> ?label:string -> unit -> unit
-(** Perform a transfer from the calling process: books every port on the
-    route and blocks until the last byte lands. Same-device "transfers" cost
-    HBM time only; zero-byte transfers cost only latency. *)
+(** Perform a transfer from the calling process: {!book} it, then block
+    until the last byte lands. Same-device "transfers" cost HBM time only;
+    zero-byte transfers cost only latency. *)
 
 val bytes_moved : t -> int
 (** Total payload bytes transported so far. *)

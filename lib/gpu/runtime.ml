@@ -193,9 +193,9 @@ let launch_cooperative t ~dev ~name ~blocks ~threads_per_block ~roles =
   in
   List.iter
     (fun (role_name, role_body) ->
-      let pname = Printf.sprintf "%s.gpu%d.%s" name (Device.id dev) role_name in
       let (_ : E.Engine.process) =
-        E.Engine.spawn t.eng ~name:pname
+        E.Engine.spawn t.eng
+          ~lazy_name:(fun () -> Printf.sprintf "%s.gpu%d.%s" name (Device.id dev) role_name)
           ~partition:(gpu_partition t (Device.id dev))
           ~group:(gpu_group (Device.id dev))
           (fun () ->

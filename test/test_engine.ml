@@ -534,7 +534,7 @@ let engine_tests =
         let eng = Engine.create () in
         let (_ : Engine.process) =
           Engine.spawn eng ~name:"sleeper" (fun () ->
-              Engine.suspend eng ~reason:"test" (fun w -> waker := w);
+              Engine.suspend eng ~reason:(fun () -> "test") (fun w -> waker := w);
               resumed_at := Engine.now eng)
         in
         let (_ : Engine.process) =
@@ -550,7 +550,7 @@ let engine_tests =
         let eng = Engine.create () in
         let (_ : Engine.process) =
           Engine.spawn eng ~name:"s" (fun () ->
-              Engine.suspend eng ~reason:"t" (fun w -> waker := w);
+              Engine.suspend eng ~reason:(fun () -> "t") (fun w -> waker := w);
               incr count)
         in
         let (_ : Engine.process) =
@@ -951,6 +951,138 @@ let partition_tests =
         check_int "daemon still live" 1 (Engine.registered_processes eng));
   ]
 
+(* --- Stackless processes ------------------------------------------------ *)
+
+(* Spawn a stackless process that sleeps until each absolute time in [ats]
+   in turn, logging [name] at every wake-up. *)
+let sleeper eng ?partition ~name ats log =
+  Engine.spawn_stackless eng ~name ?partition (fun proc ->
+      let rec go = function
+        | [] -> ()
+        | at :: rest ->
+          Engine.sleep_until eng proc (Time.ns at) (fun () ->
+              log := (name, Time.to_ns (Engine.now eng)) :: !log;
+              go rest)
+      in
+      go ats)
+
+(* Partition 1 holds a registered state provider and one event that spawns
+   through [spawn_into]: enough for the optimistic driver to speculate. *)
+let spawn_during_optimistic spawn_into =
+  let eng = Engine.create ~partitions:3 ~isolated:true () in
+  Engine.register_state eng ~partition:1 (fun () () -> ());
+  Engine.post eng ~partition:1 ~at:(Time.ns 10) (fun () -> spawn_into eng);
+  Engine.run_optimistic ~jobs:1 ~lookahead eng
+
+let stackless_tests =
+  [
+    Alcotest.test_case "pids follow spawn order across process kinds" `Quick (fun () ->
+        let eng = Engine.create () in
+        let never = Sync.Flag.create ~name:"never" eng 0 in
+        let log = ref [] in
+        let (_ : Engine.process) =
+          Engine.spawn eng ~name:"a" ~daemon:true (fun () -> Sync.Flag.wait_ge never 1)
+        in
+        let (_ : Engine.process) = sleeper eng ~name:"b" [ 5; 20 ] log in
+        let (_ : Engine.process) =
+          Engine.spawn eng ~name:"c" (fun () -> Engine.delay eng (Time.ns 30))
+        in
+        Engine.run ~until:(Time.ns 10) eng;
+        check (Alcotest.list Alcotest.string) "blocked"
+          [ "b(#2) [p0]: delay (since 5ns)"; "c(#3) [p0]: delay (since 0ns)" ]
+          (Engine.blocked_descriptions eng));
+    Alcotest.test_case "live and registered until the chain ends" `Quick (fun () ->
+        let eng = Engine.create () in
+        let log = ref [] in
+        let p = sleeper eng ~name:"s" [ 5; 9 ] log in
+        check_int "live before run" 1 (Engine.live_processes eng);
+        check_int "registered before run" 1 (Engine.registered_processes eng);
+        Engine.run ~until:(Time.ns 7) eng;
+        check_int "live while asleep" 1 (Engine.live_processes eng);
+        check_int "registered while asleep" 1 (Engine.registered_processes eng);
+        check_bool "not done" false (Engine.process_done p);
+        Engine.run eng;
+        check_int "live after" 0 (Engine.live_processes eng);
+        check_int "registry drained" 0 (Engine.registered_processes eng);
+        check_bool "done" true (Engine.process_done p);
+        check (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int)) "wake-ups"
+          [ ("s", 5); ("s", 9) ] (List.rev !log));
+    Alcotest.test_case "a sleep chain replays a fiber's delays event for event" `Quick
+      (fun () ->
+        let run kind =
+          let eng = Engine.create () in
+          let log = ref [] in
+          let (_ : Engine.process) =
+            Engine.spawn eng ~name:"other" (fun () ->
+                Engine.delay eng (Time.ns 5);
+                log := ("other", 5) :: !log)
+          in
+          let (_ : Engine.process) =
+            match kind with
+            | `Fiber ->
+              Engine.spawn eng ~name:"x" (fun () ->
+                  Engine.delay eng (Time.ns 5);
+                  log := ("x", 5) :: !log;
+                  Engine.delay eng (Time.ns 7);
+                  log := ("x", 12) :: !log)
+            | `Stackless -> sleeper eng ~name:"x" [ 5; 12 ] log
+          in
+          Engine.run eng;
+          (List.rev !log, Engine.events_executed eng, Time.to_ns (Engine.now eng))
+        in
+        check_bool "same events, same order" true (run `Fiber = run `Stackless));
+    Alcotest.test_case "names are built only when rendered" `Quick (fun () ->
+        let eng = Engine.create () in
+        let renders = ref 0 in
+        let p =
+          Engine.spawn_stackless eng
+            ~lazy_name:(fun () ->
+              incr renders;
+              "lazy")
+            (fun proc -> Engine.sleep_until eng proc (Time.ns 3) ignore)
+        in
+        Engine.run eng;
+        check_int "never rendered by a run" 0 !renders;
+        check Alcotest.string "rendered on demand" "lazy" (Engine.process_name p);
+        check_int "rendered once" 1 !renders);
+    Alcotest.test_case "sleep_until needs the running stackless process" `Quick (fun () ->
+        let eng = Engine.create () in
+        let fiber = Engine.spawn eng ~name:"f" (fun () -> ()) in
+        Alcotest.check_raises "fiber"
+          (Invalid_argument "Engine.sleep_until: not a stackless process") (fun () ->
+            Engine.sleep_until eng fiber (Time.ns 1) ignore);
+        let idle = Engine.spawn_stackless eng ~name:"s" (fun _ -> ()) in
+        Alcotest.check_raises "not running"
+          (Invalid_argument "Engine.sleep_until: process is not running") (fun () ->
+            Engine.sleep_until eng idle (Time.ns 1) ignore);
+        Engine.run eng);
+    Alcotest.test_case "cross-partition stackless spawn inside the window raises" `Quick
+      (fun () ->
+        let eng = Engine.create ~partitions:3 ~isolated:true () in
+        let (_ : Engine.process) =
+          Engine.spawn eng ~name:"p" ~partition:1 (fun () ->
+              let (_ : Engine.process) =
+                Engine.spawn_stackless eng ~name:"q" ~partition:2 (fun _ -> ())
+              in
+              ())
+        in
+        match Engine.run_windowed ~lookahead eng with
+        | exception Engine.Lookahead_violation _ -> ()
+        | _ -> Alcotest.fail "expected Lookahead_violation");
+    Alcotest.test_case "refused during an optimistic run, as spawn is" `Quick (fun () ->
+        let refused spawn_into =
+          match spawn_during_optimistic spawn_into with
+          | exception Invalid_argument msg ->
+            Astring.String.is_infix ~affix:"during an optimistic run" msg
+          | _ -> false
+        in
+        check_bool "spawn" true
+          (refused (fun eng -> ignore (Engine.spawn eng ~name:"f" ignore : Engine.process)));
+        check_bool "spawn_stackless" true
+          (refused (fun eng ->
+               ignore (Engine.spawn_stackless eng ~name:"s" ignore : Engine.process))));
+  ]
+
 (* --- Optimistic (Time Warp) execution ----------------------------------- *)
 
 (* Event-driven formulation of the ring: no processes, per-rank state in
@@ -1116,5 +1248,6 @@ let () =
       ("engine", engine_tests);
       ("sync", sync_tests);
       ("partitions", partition_tests);
+      ("stackless", stackless_tests);
       ("optimistic", optimistic_tests);
     ]
