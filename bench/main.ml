@@ -141,7 +141,7 @@ let print_filtered_timeline trace =
     (fun sp ->
       let keep =
         List.exists
-          (fun p -> Astring.String.is_prefix ~affix:p sp.E.Trace.lane)
+          (fun prefix -> String.starts_with ~prefix sp.E.Trace.lane)
           [ "gpu0"; "gpu1"; "host" ]
       in
       if keep then
@@ -695,10 +695,10 @@ let validate_chaos_doc doc =
 
 let recovery_seed = 77
 
-let recovery_modes : Cpufree_core.Sim_env.pdes list = [ `Seq; `Windowed; `Adaptive; `Optimistic ]
+let recovery_modes : Cpufree_core.Sim_env.pdes list = [ `Seq; `Windowed ]
 
 (* Everything the self-healing layer decides about one run; bit-equality of
-   this digest across the four PDES drivers is the recovery FATAL gate. *)
+   this digest across both PDES drivers is the recovery FATAL gate. *)
 let resilient_digest (r : S.Harness.resilient_run) =
   ( Time.to_ns r.S.Harness.r_total,
     Time.to_ns r.S.Harness.r_restart_cost,
@@ -717,9 +717,9 @@ let resilient_digest (r : S.Harness.resilient_run) =
    a fault-free control of the same workload). Two FATAL gates guard the
    fail-stop layer's determinism:
    - the fault-free control must be byte-identical to the plain (no chaos
-     machinery at all) driver in all four CPUFREE_PDES modes, and
+     machinery at all) driver in both CPUFREE_PDES modes, and
    - every recovery scenario's full digest must be bit-identical across the
-     four modes. *)
+     two modes. *)
 let fig_recovery ~smoke () =
   figure "fig.recovery" (fun () ->
       let gpus = 4 in
@@ -764,7 +764,7 @@ let fig_recovery ~smoke () =
       header
         (Printf.sprintf
            "Fig R  Fail-stop recovery: 2D Jacobi 96^2 x %d iters on %d GPUs, kill one GPU; \
-            control %.2f us (identical in all four PDES modes)"
+            control %.2f us (identical in both PDES modes)"
            iters gpus (us seq_plain));
       Printf.printf "  %8s %10s %10s %9s %10s %12s %12s %6s\n" "kill_us" "ckpt_every"
         "checkpoint" "saved_it" "restart_us" "end2end_us" "vs_scratch" "status";
@@ -1347,8 +1347,6 @@ let micro_point (r : Microbench.report) ~speedup =
   let windows, fallback =
     match r.Microbench.outcome with
     | E.Engine.Windowed { windows; jobs = _ } -> (windows, J.Null)
-    | E.Engine.Adaptive { windows; _ } -> (windows, J.Null)
-    | E.Engine.Optimistic { rounds; _ } -> (rounds, J.Null)
     | E.Engine.Sequential reason -> (0, J.String reason)
   in
   J.Obj
@@ -1430,7 +1428,7 @@ let validate_micro_doc doc =
 let micro_fallback (r : Microbench.report) =
   match r.Microbench.outcome with
   | E.Engine.Sequential reason -> Some reason
-  | E.Engine.Windowed _ | E.Engine.Adaptive _ | E.Engine.Optimistic _ -> None
+  | E.Engine.Windowed _ -> None
 
 (* Topology build-time microbenchmark: constructing a 1024-GPU machine must
    cost O(endpoints), not O(endpoints^2) — structural constructors build no
@@ -1571,8 +1569,6 @@ let run_micro ~smoke =
         let windows =
           match r.Microbench.outcome with
           | E.Engine.Windowed { windows; _ } -> string_of_int windows
-          | E.Engine.Adaptive { windows; _ } -> string_of_int windows
-          | E.Engine.Optimistic { rounds; _ } -> string_of_int rounds
           | E.Engine.Sequential _ -> "-"
         in
         Printf.printf "%-10s %5d %8s %12d %14.0f %12.4f %16.0f\n" r.Microbench.label
@@ -1798,257 +1794,6 @@ let fig_profile ~smoke () =
             ~msgs:win_msgs win_on;
         ],
         () ))
-
-(* ---------------------------------------------------------------- *)
-(* PDES driver shoot-out (`-- pdes`)                                 *)
-(* ---------------------------------------------------------------- *)
-
-let pdes_modes : Obs.Sim_env.pdes list = [ `Seq; `Windowed; `Adaptive; `Optimistic ]
-
-let pdes_ran (r : Microbench.report) =
-  match r.Microbench.outcome with
-  | E.Engine.Sequential _ -> "seq"
-  | E.Engine.Windowed _ -> "windowed"
-  | E.Engine.Adaptive _ -> "adaptive"
-  | E.Engine.Optimistic _ -> "optimistic"
-
-let pdes_point ~scenario ~family ~mode ~speedup (r : Microbench.report) =
-  let windows, solo, rounds, rollbacks, antis =
-    match r.Microbench.outcome with
-    | E.Engine.Sequential _ -> (0, 0, 0, 0, 0)
-    | E.Engine.Windowed { windows; _ } -> (windows, 0, 0, 0, 0)
-    | E.Engine.Adaptive { windows; solo_windows; _ } -> (windows, solo_windows, 0, 0, 0)
-    | E.Engine.Optimistic { rounds; rollbacks; anti_messages; _ } ->
-      (0, 0, rounds, rollbacks, anti_messages)
-  in
-  J.Obj
-    [
-      ("scenario", J.String scenario);
-      ("family", J.String family);
-      ("mode", J.String mode);
-      ("ran", J.String (pdes_ran r));
-      ("jobs", J.Int r.Microbench.jobs);
-      ("events", J.Int r.Microbench.out.Microbench.events);
-      ("events_per_sec", J.Float (Microbench.events_per_sec r));
-      ("wall_sec", J.Float r.Microbench.wall_sec);
-      ("sim_ns", J.Int r.Microbench.out.Microbench.sim_ns);
-      ("windows", J.Int windows);
-      ("solo_windows", J.Int solo);
-      ("rounds", J.Int rounds);
-      ("rollbacks", J.Int rollbacks);
-      ("anti_messages", J.Int antis);
-      ("speedup_vs_seq", J.Float speedup);
-    ]
-
-(* The documented schema of fig.pdes (EXPERIMENTS.md): per (scenario, family)
-   one point per execution mode, each carrying exactly these fields. The
-   pdes-smoke alias fails the build on drift. *)
-let pdes_required_fields =
-  [
-    ("scenario", `String);
-    ("family", `String);
-    ("mode", `String);
-    ("ran", `String);
-    ("jobs", `Int);
-    ("events", `Int);
-    ("events_per_sec", `Float);
-    ("wall_sec", `Float);
-    ("sim_ns", `Int);
-    ("windows", `Int);
-    ("solo_windows", `Int);
-    ("rounds", `Int);
-    ("rollbacks", `Int);
-    ("anti_messages", `Int);
-    ("speedup_vs_seq", `Float);
-  ]
-
-let validate_pdes_doc doc =
-  let fail fmt = Printf.ksprintf (fun s -> Error s) fmt in
-  let field kvs name = List.assoc_opt name kvs in
-  let check_point i p =
-    match p with
-    | J.Obj kvs ->
-      List.fold_left
-        (fun acc (name, ty) ->
-          match acc with
-          | Error _ -> acc
-          | Ok () ->
-            (match (field kvs name, ty) with
-            | None, _ -> fail "point %d: missing field %S" i name
-            | Some (J.String _), `String | Some (J.Int _), `Int | Some (J.Float _), `Float ->
-              Ok ()
-            | Some _, _ -> fail "point %d: field %S has the wrong JSON type" i name))
-        (Ok ()) pdes_required_fields
-    | _ -> fail "point %d: not an object" i
-  in
-  match doc with
-  | J.Obj kvs ->
-    (match field kvs "figures" with
-    | Some (J.List figs) ->
-      let pdes =
-        List.filter_map
-          (function
-            | J.Obj f when field f "figure" = Some (J.String "fig.pdes") -> Some f
-            | _ -> None)
-          figs
-      in
-      (match pdes with
-      | [ fig ] ->
-        (match field fig "points" with
-        | Some (J.List (_ :: _ as pts)) ->
-          let rec go i = function
-            | [] -> Ok ()
-            | p :: rest -> (match check_point i p with Ok () -> go (i + 1) rest | e -> e)
-          in
-          (match go 0 pts with
-          | Error _ as e -> e
-          | Ok () ->
-            (* An optimistic point that really ran optimistically must exist:
-               the figure is pointless if every scenario fell back. *)
-            let genuine =
-              List.exists
-                (function
-                  | J.Obj p ->
-                    field p "mode" = Some (J.String "optimistic")
-                    && field p "ran" = Some (J.String "optimistic")
-                  | _ -> false)
-                pts
-            in
-            if genuine then Ok ()
-            else fail "fig.pdes: no scenario actually ran the optimistic driver")
-        | _ -> fail "fig.pdes: missing or empty points list")
-      | l -> fail "expected exactly one fig.pdes figure, found %d" (List.length l))
-    | _ -> fail "document has no figures list")
-  | _ -> fail "document is not an object"
-
-let fig_pdes ~smoke () =
-  header
-    "Fig PDES  Driver shoot-out: sequential vs conservative windowed vs adaptive windows vs \
-     optimistic Time Warp";
-  let jobs = Parallel.default_jobs () in
-  let reps = if smoke then 1 else 3 in
-  let base = Microbench.default in
-  let gpus = if smoke then 4 else 8 in
-  let iters = if smoke then 48 else 2000 in
-  let sparse = if smoke then 16 else 64 in
-  let sparse_iters = if smoke then 48 else 4000 in
-  (* Scenarios, coarsest knob first: [ring-dense] exchanges halos every round
-     (traffic as dense in time as the lookahead allows — the conservative
-     drivers' sweet spot, speculation can at best tie and pays for its
-     checkpoints); [halo-sparse] syncs every [sparse] rounds, leaving deep
-     runs of partition-local events between exchanges — temporal sparsity a
-     lookahead-width window cannot see, but speculation rides;
-     [halo-sparse-skew] adds a rank-0 straggler on top, so fast ranks' halos
-     land in the slow rank's speculated past and force genuine rollbacks with
-     anti-messages; [ring-procs] is the process-based formulation, where the
-     optimistic request honestly degrades to the conservative windowed driver
-     (continuations cannot be checkpointed). *)
-  let scenarios =
-    [
-      ("ring-dense", `Events, { base with Microbench.gpus; iters });
-      ( "halo-sparse",
-        `Events,
-        { base with Microbench.gpus; iters = sparse_iters; sync_every = sparse } );
-      ( "halo-sparse-skew",
-        `Events,
-        { base with Microbench.gpus; iters = sparse_iters; sync_every = sparse; skew_ns = 150 }
-      );
-      ( "ring-procs",
-        `Procs,
-        { base with Microbench.gpus; iters = (if smoke then 10 else 200); ticks_per_iter = 2 }
-      );
-    ]
-  in
-  figure "fig.pdes" (fun () ->
-      let all_points = ref [] in
-      let best_opt = ref None in
-      List.iter
-        (fun (scenario, family, cfg) ->
-          let family_name = match family with `Events -> "events" | `Procs -> "procs" in
-          (* Seed the speculation horizon at one halo epoch: the adaptive
-             throttle would get there anyway, this skips the warm-up. *)
-          let horizon =
-            if cfg.Microbench.sync_every > 1 then
-              Some
-                (E.Time.ns
-                   (cfg.Microbench.sync_every * cfg.Microbench.ticks_per_iter
-                    * (cfg.Microbench.tick_ns + cfg.Microbench.skew_ns)))
-            else None
-          in
-          let run_once mode =
-            match family with
-            | `Events -> Microbench.run_events ~jobs ?horizon ~mode cfg
-            | `Procs -> Microbench.run_procs ~jobs ~mode cfg
-          in
-          (* Best-of-N wall clock (outputs are asserted identical below, so
-             repetition only de-noises the events/sec column). *)
-          let run mode =
-            let best = ref (run_once mode) in
-            for _ = 2 to reps do
-              let r = run_once mode in
-              if r.Microbench.wall_sec < !best.Microbench.wall_sec then best := r
-            done;
-            !best
-          in
-          let reports = List.map (fun m -> (m, run m)) pdes_modes in
-          let seq = List.assoc `Seq reports in
-          List.iter
-            (fun ((m : Obs.Sim_env.pdes), (r : Microbench.report)) ->
-              if not (Microbench.equal_output seq.Microbench.out r.Microbench.out) then begin
-                Printf.eprintf "[pdes] FATAL: %s/%s output differs from sequential\n%!"
-                  scenario
-                  (Obs.Sim_env.pdes_to_string m);
-                exit 1
-              end)
-            reports;
-          Printf.printf
-            "\nscenario %-16s (%s family): %d GPUs, %d rounds, sync every %d, skew %d ns \
-             (outputs verified equal)\n"
-            scenario family_name cfg.Microbench.gpus cfg.Microbench.iters
-            cfg.Microbench.sync_every cfg.Microbench.skew_ns;
-          Printf.printf "  %-12s %-10s %5s %10s %14s %9s %9s %9s %7s\n" "mode" "ran" "jobs"
-            "events" "events/sec" "win/rnd" "rollback" "anti" "vs-seq";
-          let seq_eps = Microbench.events_per_sec seq in
-          List.iter
-            (fun ((m : Obs.Sim_env.pdes), (r : Microbench.report)) ->
-              let speedup =
-                if seq_eps = 0.0 then 0.0 else Microbench.events_per_sec r /. seq_eps
-              in
-              let winrnd, rb, anti =
-                match r.Microbench.outcome with
-                | E.Engine.Sequential _ -> ("-", 0, 0)
-                | E.Engine.Windowed { windows; _ } -> (string_of_int windows, 0, 0)
-                | E.Engine.Adaptive { windows; _ } -> (string_of_int windows, 0, 0)
-                | E.Engine.Optimistic { rounds; rollbacks; anti_messages; _ } ->
-                  (string_of_int rounds, rollbacks, anti_messages)
-              in
-              Printf.printf "  %-12s %-10s %5d %10d %14.0f %9s %9d %9d %6.2fx\n"
-                (Obs.Sim_env.pdes_to_string m)
-                (pdes_ran r) r.Microbench.jobs r.Microbench.out.Microbench.events
-                (Microbench.events_per_sec r) winrnd rb anti speedup;
-              (if family = `Events && m = `Optimistic && pdes_ran r = "optimistic" then
-                 let win = List.assoc `Windowed reports in
-                 let ratio =
-                   let w = Microbench.events_per_sec win in
-                   if w = 0.0 then 0.0 else Microbench.events_per_sec r /. w
-                 in
-                 match !best_opt with
-                 | Some (_, best) when best >= ratio -> ()
-                 | _ -> best_opt := Some (scenario, ratio));
-              all_points :=
-                pdes_point ~scenario ~family:family_name
-                  ~mode:(Obs.Sim_env.pdes_to_string m)
-                  ~speedup r
-                :: !all_points)
-            reports)
-        scenarios;
-      (match !best_opt with
-      | Some (scenario, ratio) ->
-        Printf.printf "\noptimistic vs windowed (events/sec): best ratio %.2fx on %s%s\n" ratio
-          scenario
-          (if ratio > 1.0 then "" else " (no win this run — wall-clock noise or dense traffic)")
-      | None -> Printf.printf "\noptimistic driver never ran genuinely (all fallbacks)\n");
-      (List.rev !all_points, ()))
 
 (* ---------------------------------------------------------------- *)
 (* Bechamel wall-clock microbenchmarks (one per figure regenerator)  *)
@@ -2334,7 +2079,7 @@ let fig_autotune ~smoke () =
         [
           ("re-run", Cpufree_obs.Sim_env.default);
           ("pdes=seq", Cpufree_obs.Sim_env.make ~pdes:`Seq ());
-          ("pdes=optimistic", Cpufree_obs.Sim_env.make ~pdes:`Optimistic ());
+          ("pdes=windowed", Cpufree_obs.Sim_env.make ~pdes:`Windowed ());
         ];
       Printf.printf "plan choice deterministic across re-runs and PDES modes\n";
       (* End-to-end gate: execute the searched plan with real buffers and
@@ -2682,21 +2427,6 @@ let write_results ~mode ~elapsed =
         "[recovery] FATAL: BENCH_results.json violates the documented schema: %s\n%!" msg;
       exit 1
   end;
-  let has_pdes =
-    List.exists
-      (function
-        | J.Obj f -> List.assoc_opt "figure" f = Some (J.String "fig.pdes")
-        | _ -> false)
-      !json_figures
-  in
-  if has_pdes then begin
-    match validate_pdes_doc doc with
-    | Ok () -> ()
-    | Error msg ->
-      Printf.eprintf "[pdes] FATAL: BENCH_results.json violates the documented schema: %s\n%!"
-        msg;
-      exit 1
-  end;
   let has_autotune =
     List.exists
       (function
@@ -2760,7 +2490,6 @@ let known_args =
     "scaleout";
     "chaos";
     "recovery";
-    "pdes";
     "autotune";
     "collective";
     "profile";
@@ -2815,13 +2544,6 @@ let () =
     write_results
       ~mode:(if smoke then "recovery-smoke" else "recovery")
       ~elapsed:(wall () -. t_start);
-    exit 0
-  end;
-  if List.mem "pdes" args then begin
-    let smoke = List.mem "smoke" args in
-    let t_start = wall () in
-    fig_pdes ~smoke ();
-    write_results ~mode:(if smoke then "pdes-smoke" else "pdes") ~elapsed:(wall () -. t_start);
     exit 0
   end;
   if List.mem "autotune" args then begin

@@ -92,9 +92,9 @@ let metrics_out_arg =
 
 let pdes_arg =
   let doc =
-    "PDES driver: seq (sequential event loop), windowed (conservative windows), adaptive \
-     (windows resized from observed lookahead) or optimistic (Time Warp). Overrides the \
-     CPUFREE_PDES variable; all drivers produce bit-identical results."
+    "PDES driver: seq (the sequential event loop, the reference) or windowed (conservative \
+     time windows; a model that does not promise partition isolation runs the sequential \
+     loop). Overrides the CPUFREE_PDES variable; both drivers produce bit-identical results."
   in
   Arg.(value & opt (some string) None & info [ "pdes" ] ~docv:"MODE" ~doc)
 
@@ -103,6 +103,15 @@ let resolve_pdes name =
   | Ok mode -> mode
   | Error msg ->
     Printf.eprintf "bad --pdes mode %s\n" msg;
+    exit 2
+
+(* Without --pdes a run reads CPUFREE_PDES when it starts; check it here so
+   a bad value exits 2 like a bad flag instead of escaping as an exception. *)
+let check_pdes_env () =
+  match Env.pdes_of_env_var () with
+  | (_ : Env.pdes) -> ()
+  | exception Invalid_argument msg ->
+    Printf.eprintf "bad %s\n" msg;
     exit 2
 
 let resolve_arch name =
@@ -145,7 +154,12 @@ let common_term =
       fault_seed;
       trace_out;
       metrics_out;
-      pdes = Option.map resolve_pdes pdes;
+      pdes =
+        (match pdes with
+        | Some name -> Some (resolve_pdes name)
+        | None ->
+          check_pdes_env ();
+          None);
     }
   in
   Term.(
@@ -247,6 +261,18 @@ let dims_arg =
 let print_timeline trace =
   print_string (E.Trace.render_ascii ~width:100 trace)
 
+(* Exit 2 naming every given flag the run cannot honour, rather than
+   exit 0 with the flag silently ignored. *)
+let refuse_flags cmd flags ~why =
+  match List.filter_map (fun (flag, given) -> if given then Some flag else None) flags with
+  | [] -> ()
+  | given ->
+    Printf.eprintf "%s: %s %s\n" cmd (String.concat ", " given) why;
+    exit 2
+
+let chaos_refusal =
+  "cannot be combined with --faults; --trace-out and --metrics-out record a chaos run"
+
 (* --- stencil command ------------------------------------------------------ *)
 
 let variant_arg =
@@ -289,20 +315,23 @@ let run_stencil common iters dims variant no_compute verify timeline chrome =
   in
   let single = List.length kinds = 1 in
   (* Artifact files record one run; a comparison sweep has none to record. *)
-  (if not single then
-     let given =
-       List.filter_map
-         (fun (flag, v) -> Option.map (fun _ -> flag) v)
-         [ ("--trace-out", common.trace_out); ("--metrics-out", common.metrics_out);
-           ("--chrome-trace", chrome) ]
-     in
-     if given <> [] then begin
-       Printf.eprintf
-         "stencil: %s records a single run and cannot be combined with a %d-variant \
-          comparison; choose one --variant\n"
-         (String.concat ", " given) (List.length kinds);
-       exit 2
-     end);
+  if not single then
+    refuse_flags "stencil"
+      [
+        ("--trace-out", common.trace_out <> None);
+        ("--metrics-out", common.metrics_out <> None);
+        ("--chrome-trace", chrome <> None);
+        ("--timeline", timeline);
+      ]
+      ~why:
+        (Printf.sprintf
+           "records a single run and cannot be combined with a %d-variant comparison; choose \
+            one --variant"
+           (List.length kinds));
+  if common.faults <> None then
+    refuse_flags "stencil"
+      [ ("--chrome-trace", chrome <> None); ("--timeline", timeline); ("--verify", verify) ]
+      ~why:chaos_refusal;
   let interpret kind =
     match
       S.Harness.of_scenario (stencil_scenario common ~single ~iters ~dims ~no_compute kind)
@@ -329,7 +358,7 @@ let run_stencil common iters dims variant no_compute verify timeline chrome =
         (fun kind ->
           let hsc = interpret kind in
           let r, trace = S.Harness.run_scenario_traced hsc in
-          if timeline && single then print_timeline trace;
+          if timeline then print_timeline trace;
           if single then begin
             maybe_write_chrome chrome trace;
             write_observability common (S.Harness.scenario_sim_env hsc)
@@ -486,6 +515,10 @@ let run_dace common iters app_name arm_name size emit auto specialize_tb verify 
     run_dace_auto common iters app_name arm size specialize_tb timeline chrome
   end
   else begin
+  if common.faults <> None then
+    refuse_flags "dace"
+      [ ("--chrome-trace", chrome <> None); ("--timeline", timeline) ]
+      ~why:chaos_refusal;
   (* The measured run goes through the first-class scenario (the daemon's
      path); [of_scenario] re-validates app/arm and compiles the program. *)
   let sc =

@@ -15,10 +15,6 @@ type result = {
   bytes_moved : int;
 }
 
-type pdes = Obs.Sim_env.pdes
-
-let pdes_mode () : pdes = Obs.Sim_env.pdes_of_env_var ()
-
 let measure ~label ~gpus ~iterations eng ctx trace =
   let total = E.Engine.now eng in
   let iters = Stdlib.max 1 iterations in
@@ -33,21 +29,6 @@ let measure ~label ~gpus ~iterations eng ctx trace =
     bytes_moved = G.Interconnect.bytes_moved (G.Runtime.net ctx);
   }
 
-(* Optional Time Warp tuning knobs, nanosecond integers. Unset or empty means
-   "let the driver pick"; junk gets the same friendly treatment as
-   [CPUFREE_PDES]. *)
-let time_env_var name =
-  match Stdlib.Sys.getenv_opt name with
-  | None -> None
-  | Some s -> (
-    match String.trim s with
-    | "" -> None
-    | s -> (
-      match int_of_string_opt s with
-      | Some ns when ns > 0 -> Some (Time.ns ns)
-      | Some _ | None ->
-        invalid_arg (Printf.sprintf "%s=%S: expected a positive integer (nanoseconds)" name s)))
-
 let drive mode eng ctx =
   match mode with
   | `Seq -> E.Engine.run eng
@@ -58,24 +39,6 @@ let drive mode eng ctx =
        Isolated models (e.g. {!Microbench}) take the parallel path. *)
     let (_ : E.Engine.outcome) =
       E.Engine.run_windowed ~lookahead:(G.Runtime.lookahead ctx) eng
-    in
-    ()
-  | `Adaptive ->
-    let (_ : E.Engine.outcome) =
-      E.Engine.run_adaptive
-        ~lookahead_of:(G.Runtime.lookahead_of ctx)
-        ~lookahead:(G.Runtime.lookahead ctx) eng
-    in
-    ()
-  | `Optimistic ->
-    (* Falls back to the windowed (and thence sequential) driver when the
-       model registers processes or no state providers — same output either
-       way; only the driver differs. *)
-    let (_ : E.Engine.outcome) =
-      E.Engine.run_optimistic
-        ?horizon:(time_env_var "CPUFREE_OPT_HORIZON")
-        ?max_horizon:(time_env_var "CPUFREE_OPT_MAX_HORIZON")
-        ~lookahead:(G.Runtime.lookahead ctx) eng
     in
     ()
 
@@ -93,12 +56,7 @@ let publish env eng trace =
     let c name v = Mx.Counter.add (Mx.counter reg ~name ()) v in
     c "engine.events" (E.Engine.events_executed eng);
     c "engine.windows" (E.Engine.windows_executed eng);
-    c "engine.solo_windows" (E.Engine.solo_windows eng);
     c "engine.stall_scans" (E.Engine.stall_scans eng);
-    c "engine.opt.rounds" (E.Engine.optimistic_rounds eng);
-    c "engine.opt.rollbacks" (E.Engine.rollbacks eng);
-    c "engine.opt.anti_messages" (E.Engine.anti_messages eng);
-    c "engine.opt.events_rolled_back" (E.Engine.events_rolled_back eng);
     Mx.Gauge.set (Mx.gauge reg ~name:"engine.partitions" ()) (E.Engine.num_partitions eng)
 
 (* Shared run core: engine + runtime context from the environment, program as
@@ -113,7 +71,7 @@ let run_core ?arch ~env ~label ~gpus ~iterations program =
   let eng =
     match mode with
     | `Seq -> E.Engine.create ~trace ()
-    | `Windowed | `Adaptive | `Optimistic -> E.Engine.create ~trace ~partitions:(gpus + 1) ()
+    | `Windowed -> E.Engine.create ~trace ~partitions:(gpus + 1) ()
   in
   let ctx = G.Runtime.create eng ?arch ~env ~num_gpus:gpus () in
   let (_ : E.Engine.process) = E.Engine.spawn eng ~name:"main" (fun () -> program ctx) in
@@ -128,8 +86,8 @@ let run_env ?arch ?(env = Obs.Sim_env.default) ~label ~gpus ~iterations program 
 let run_traced_env ?arch ?(env = Obs.Sim_env.default) ~label ~gpus ~iterations program =
   run_core ?arch ~env ~label ~gpus ~iterations program
 
-let probe_env ?arch ?(env = Obs.Sim_env.default) ?pdes ~label ~gpus ~iterations program =
-  (run_env ?arch ~env:(Obs.Sim_env.probe ?pdes env) ~label ~gpus ~iterations program).total
+let probe_env ?arch ?(env = Obs.Sim_env.default) ~label ~gpus ~iterations program =
+  (run_env ?arch ~env:(Obs.Sim_env.probe env) ~label ~gpus ~iterations program).total
 
 (* The measurement-layer view of a Scenario: architecture resolved, a fresh
    environment built. Workload interpretation stays downstream — this is
@@ -166,9 +124,8 @@ let run_chaos_env ?arch ?watchdog ?(env = Obs.Sim_env.default) ~label ~gpus ~ite
      topology mid-run; a partitioned driver could observe the mutation in
      wall-clock rather than virtual-time order. Those runs honestly degrade
      to the sequential driver — same simulated output, only the driver
-     differs (the same contract as the optimistic driver's fallback). GPU
-     kills mutate nothing (suppression and detection are pure functions of
-     virtual time), so they run under every driver. *)
+     differs. GPU kills mutate nothing (suppression and detection are pure
+     functions of virtual time), so they run under both drivers. *)
   let mode =
     if spec.F.link_fails <> [] || spec.F.switch_fails <> [] then `Seq else mode
   in
@@ -182,8 +139,7 @@ let run_chaos_env ?arch ?watchdog ?(env = Obs.Sim_env.default) ~label ~gpus ~ite
   let eng =
     match mode with
     | `Seq -> E.Engine.create ~trace ~watchdog ()
-    | `Windowed | `Adaptive | `Optimistic ->
-      E.Engine.create ~trace ~partitions:(gpus + 1) ~watchdog ()
+    | `Windowed -> E.Engine.create ~trace ~partitions:(gpus + 1) ~watchdog ()
   in
   let ctx = G.Runtime.create eng ?arch ~env ~num_gpus:gpus () in
   let plan =

@@ -18,19 +18,6 @@ type result = {
   bytes_moved : int;
 }
 
-type pdes = Cpufree_obs.Sim_env.pdes
-
-val pdes_mode : unit -> pdes
-(** The execution mode selected by the [CPUFREE_PDES] environment variable:
-    unset, [""], ["seq"] or ["sequential"] select the classic sequential
-    driver; ["windowed"] or ["pdes"] select conservative time-windowed
-    partitioned execution (one partition per GPU plus a host/interconnect
-    partition, lookahead from {!Cpufree_gpu.Runtime.lookahead}). Windowed
-    mode automatically falls back to sequential — with identical results —
-    when the model does not guarantee partition isolation or the lookahead is
-    zero. Any other value raises [Invalid_argument]. Equivalent to
-    {!Cpufree_obs.Sim_env.pdes_of_env_var}. *)
-
 val run_env :
   ?arch:Cpufree_gpu.Arch.t ->
   ?env:Cpufree_obs.Sim_env.t ->
@@ -64,12 +51,11 @@ val run_traced_env :
 val probe_env :
   ?arch:Cpufree_gpu.Arch.t ->
   ?env:Cpufree_obs.Sim_env.t ->
-  ?pdes:Cpufree_obs.Sim_env.pdes ->
   label:string -> gpus:int -> iterations:int ->
   (Cpufree_gpu.Runtime.ctx -> unit) -> Cpufree_engine.Time.t
 (** Cheap cost probe for candidate evaluation (the autotuner's oracle): run
     the program under {!Cpufree_obs.Sim_env.probe}[ env] — observability
-    sinks and fault plan stripped, PDES mode pinned (default [`Windowed]) —
+    sinks and fault plan stripped, PDES mode pinned to [`Windowed] —
     and return only the simulated wall-clock. Because the mode is pinned and
     the drivers are bit-identical, the returned cost does not depend on the
     ambient [CPUFREE_PDES], so searches ranked by it are deterministic. *)

@@ -28,8 +28,6 @@ type config = {
   iters : int;  (** halo-exchange rounds per rank *)
   ticks_per_iter : int;  (** compute delays between exchanges *)
   tick_ns : int;  (** simulated length of one compute delay *)
-  skew_ns : int;  (** extra per-tick cost on rank 0: a deliberate straggler *)
-  sync_every : int;  (** halo-exchange (send + wait) every this many rounds *)
   bytes_per_msg : int;  (** accounted payload of one halo message *)
   pattern : pattern;  (** who each rank sends to *)
   arch : G.Arch.t;  (** supplies the lookahead bound *)
@@ -43,8 +41,6 @@ let default =
     iters = 200;
     ticks_per_iter = 4;
     tick_ns = 400;
-    skew_ns = 0;
-    sync_every = 1;
     bytes_per_msg = 4096;
     pattern = Ring;
     arch = G.Arch.a100_hgx;
@@ -83,21 +79,8 @@ let dst_of cfg g =
 
 let mix h v = ((h * 0x2545F4914F6CDD1D) + v) lxor (v lsl 17)
 
-(* Halo exchanges happen at iterations S, 2S, ... and always at the last one;
-   [sync_count cfg it] is how many a rank has sent by the end of iteration
-   [it] — and therefore how many inbound halos a rank must have seen before
-   leaving its own sync point (all ranks follow the same schedule). *)
-let is_sync cfg it = it mod cfg.sync_every = 0 || it = cfg.iters
-
-let sync_count cfg it =
-  (it / cfg.sync_every) + if it = cfg.iters && cfg.iters mod cfg.sync_every <> 0 then 1 else 0
-
-let check_config cfg =
-  if cfg.gpus <= 0 then invalid_arg "Microbench: need at least one GPU";
-  if cfg.sync_every <= 0 then invalid_arg "Microbench: sync_every must be positive"
-
 let build cfg =
-  check_config cfg;
+  if cfg.gpus <= 0 then invalid_arg "Microbench: need at least one GPU";
   let trace = if cfg.traced then Some (E.Trace.create ()) else None in
   let eng = E.Engine.create ?trace ~partitions:(cfg.gpus + 1) ~isolated:true () in
   let lookahead = G.Arch.lookahead_bound cfg.arch in
@@ -108,7 +91,7 @@ let build cfg =
   let bytes = Array.make cfg.gpus 0 in
   let inbox = Array.make cfg.gpus 0 in
   let final = Array.make cfg.gpus 0 in
-  let tick_of g = Time.ns (cfg.tick_ns + if g = 0 then cfg.skew_ns else 0) in
+  let tick = Time.ns cfg.tick_ns in
   (* Per-rank hot-loop instruments; this is the honest vehicle for the
      fig.profile overhead measurement, so the counters sit exactly where a
      production model would put them — inside the tick and send loops,
@@ -131,7 +114,6 @@ let build cfg =
         ~partition:(g + 1)
         (fun () ->
           let state = ref (mix 0 g) in
-          let tick = tick_of g in
           let dst = dst_of cfg g in
           for it = 1 to cfg.iters do
             let t0 = E.Engine.now eng in
@@ -145,7 +127,7 @@ let build cfg =
             E.Trace.add_opt (E.Engine.trace eng)
               ~lane:(Printf.sprintf "gpu%d" g)
               ~label:"tick" ~kind:E.Trace.Compute ~t0 ~t1:(E.Engine.now eng);
-            if dst <> g && is_sync cfg it then begin
+            if dst <> g then begin
               (match obs with
               | None -> ()
               | Some (_, msgs, mbytes) ->
@@ -159,8 +141,8 @@ let build cfg =
                   bytes.(dst) <- bytes.(dst) + cfg.bytes_per_msg;
                   inbox.(dst) <- inbox.(dst) lxor payload;
                   E.Sync.Flag.add arrived.(dst) 1);
-              (* Inbound halos of this epoch must land before the next one. *)
-              E.Sync.Flag.wait_ge arrived.(g) (sync_count cfg it)
+              (* This round's inbound halo must land before the next round. *)
+              E.Sync.Flag.wait_ge arrived.(g) it
             end
           done;
           final.(g) <- !state lxor inbox.(g))
@@ -198,12 +180,6 @@ let run_seq cfg =
     out = output_of eng ~bytes ~final;
   }
 
-let jobs_of_outcome = function
-  | E.Engine.Windowed w -> w.jobs
-  | E.Engine.Adaptive a -> a.jobs
-  | E.Engine.Optimistic o -> o.jobs
-  | E.Engine.Sequential _ -> 1
-
 let run_windowed ?jobs cfg =
   let eng, lookahead, bytes, final = build cfg in
   let outcome, wall_sec, major_words =
@@ -211,122 +187,9 @@ let run_windowed ?jobs cfg =
   in
   {
     label = "windowed";
-    jobs = jobs_of_outcome outcome;
+    jobs = (match outcome with E.Engine.Windowed w -> w.jobs | E.Engine.Sequential _ -> 1);
     outcome;
     wall_sec;
     major_words;
     out = output_of eng ~bytes ~final;
   }
-
-(* --- Event-driven (process-free) formulation of the same model ---------
-
-   Per-rank state lives in arrays owned by the rank's partition, every step
-   is a posted event that schedules its successor, and each partition
-   registers a state provider. No continuations exist to capture, so this
-   formulation is eligible for the optimistic Time Warp driver — which the
-   process-based one above (one-shot effect continuations) never is. Its
-   observable output is NOT comparable to the process formulation's
-   (different event structure); byte-identity is pinned *within* this
-   family, across all four drivers and any worker count.
-
-   The [metrics] field is ignored here: hot-loop counters are not rolled
-   back with model state, so under speculation they would over-count. *)
-let build_events cfg =
-  check_config cfg;
-  let trace = if cfg.traced then Some (E.Trace.create ()) else None in
-  let eng = E.Engine.create ?trace ~partitions:(cfg.gpus + 1) ~isolated:true () in
-  let lookahead = G.Arch.lookahead_bound cfg.arch in
-  let state = Array.init cfg.gpus (fun g -> mix 0 g) in
-  let inbox = Array.make cfg.gpus 0 in
-  let arrived = Array.make cfg.gpus 0 in
-  let pending = Array.make cfg.gpus 0 in  (* iteration blocked at a sync point; 0 = none *)
-  let bytes = Array.make cfg.gpus 0 in
-  let final = Array.make cfg.gpus 0 in
-  let iter_cost g =
-    Time.ns ((cfg.tick_ns + if g = 0 then cfg.skew_ns else 0) * cfg.ticks_per_iter)
-  in
-  (* Each event computes with explicit times (its own timestamp in, successor
-     timestamps out) and touches only its own rank's cells; effects at equal
-     timestamps commute (xor, counters) — the commutativity that byte-identity
-     across drivers and worker counts rests on. *)
-  let rec run_iter g it t0 =
-    for _k = 1 to cfg.ticks_per_iter do
-      state.(g) <- mix state.(g) it
-    done;
-    let t1 = Time.add t0 (iter_cost g) in
-    E.Trace.add_opt (E.Engine.trace eng)
-      ~lane:(Printf.sprintf "gpu%d" g)
-      ~label:"tick" ~kind:E.Trace.Compute ~t0 ~t1;
-    let dst = dst_of cfg g in
-    if dst <> g && is_sync cfg it then begin
-      let payload = state.(g) in
-      (* One lookahead of delay makes the post legal in any conservative
-         window; the optimistic driver has no gate to satisfy. *)
-      E.Engine.post eng ~partition:(dst + 1)
-        ~at:(Time.add t1 lookahead)
-        (fun () -> arrive dst payload);
-      (* The wait: at t1 check whether this epoch's inbound halo landed. *)
-      E.Engine.post eng ~partition:(g + 1) ~at:t1 (fun () ->
-          if arrived.(g) >= sync_count cfg it then next g it t1 else pending.(g) <- it)
-    end
-    else
-      E.Engine.post eng ~partition:(g + 1) ~at:t1 (fun () -> next g it t1)
-  and arrive dst payload =
-    bytes.(dst) <- bytes.(dst) + cfg.bytes_per_msg;
-    inbox.(dst) <- inbox.(dst) lxor payload;
-    arrived.(dst) <- arrived.(dst) + 1;
-    if pending.(dst) > 0 && arrived.(dst) >= sync_count cfg pending.(dst) then begin
-      let it = pending.(dst) in
-      pending.(dst) <- 0;
-      next dst it (E.Engine.now eng)
-    end
-  and next g it t =
-    if it >= cfg.iters then final.(g) <- state.(g) lxor inbox.(g)
-    else run_iter g (it + 1) t
-  in
-  for g = 0 to cfg.gpus - 1 do
-    E.Engine.register_state eng ~partition:(g + 1) (fun () ->
-        let s = state.(g) and i = inbox.(g) and a = arrived.(g) in
-        let p = pending.(g) and b = bytes.(g) and f = final.(g) in
-        fun () ->
-          state.(g) <- s;
-          inbox.(g) <- i;
-          arrived.(g) <- a;
-          pending.(g) <- p;
-          bytes.(g) <- b;
-          final.(g) <- f);
-    if cfg.iters > 0 then
-      E.Engine.post eng ~partition:(g + 1) ~at:Time.zero (fun () -> run_iter g 1 Time.zero)
-    else final.(g) <- state.(g)
-  done;
-  (eng, lookahead, bytes, final)
-
-let run_built ~label ?jobs ?horizon ~mode (eng, lookahead, bytes, final) =
-  let drive () =
-    match mode with
-    | `Seq ->
-      E.Engine.run eng;
-      E.Engine.Sequential "requested"
-    | `Windowed -> E.Engine.run_windowed ?jobs ~lookahead eng
-    | `Adaptive -> E.Engine.run_adaptive ?jobs ~lookahead eng
-    | `Optimistic -> E.Engine.run_optimistic ?jobs ?horizon ~lookahead eng
-  in
-  let outcome, wall_sec, major_words = timed drive in
-  {
-    label;
-    jobs = jobs_of_outcome outcome;
-    outcome;
-    wall_sec;
-    major_words;
-    out = output_of eng ~bytes ~final;
-  }
-
-let run_events ?jobs ?horizon ~mode cfg =
-  run_built
-    ~label:("ev-" ^ Cpufree_obs.Sim_env.pdes_to_string mode)
-    ?jobs ?horizon ~mode (build_events cfg)
-
-let run_procs ?jobs ?horizon ~mode cfg =
-  run_built
-    ~label:("proc-" ^ Cpufree_obs.Sim_env.pdes_to_string mode)
-    ?jobs ?horizon ~mode (build cfg)

@@ -22,16 +22,6 @@ type config = {
   iters : int;  (** halo-exchange rounds per rank *)
   ticks_per_iter : int;  (** compute delays between exchanges *)
   tick_ns : int;  (** simulated length of one compute delay *)
-  skew_ns : int;
-      (** extra per-tick cost on rank 0 (default 0): a deliberate straggler
-          that widens inter-rank drift — the load imbalance that forces the
-          optimistic driver to roll back *)
-  sync_every : int;
-      (** halo-exchange period in iterations (default 1: exchange every
-          round). Larger periods make cross-partition traffic sparse in
-          time, which is exactly what speculation exploits: conservative
-          windows stay capped at one lookahead regardless, while the
-          optimistic driver runs a whole epoch of local events per round *)
   bytes_per_msg : int;  (** accounted payload of one halo message *)
   pattern : pattern;
   arch : Cpufree_gpu.Arch.t;  (** supplies the lookahead bound *)
@@ -44,8 +34,7 @@ type config = {
 }
 
 val default : config
-(** 8 GPUs, 200 rounds, 4 ticks of 400 ns, no skew, halo exchange every
-    round, 4 KiB messages, ring pattern on the A100 HGX architecture,
+(** 8 GPUs, 200 rounds, 4 ticks of 400 ns, 4 KiB messages, ring pattern on the A100 HGX architecture,
     untraced, unmetered. *)
 
 type output = {
@@ -57,7 +46,7 @@ type output = {
 }
 
 type report = {
-  label : string;  (** ["seq"], ["windowed"], ["ev-<mode>"] or ["proc-<mode>"] *)
+  label : string;  (** ["seq"] or ["windowed"] *)
   jobs : int;  (** workers actually used (1 for the sequential driver) *)
   outcome : Cpufree_engine.Engine.outcome;
   wall_sec : float;
@@ -77,25 +66,3 @@ val run_windowed : ?jobs:int -> config -> report
 (** Build the model and drain it with {!Cpufree_engine.Engine.run_windowed};
     the report's [outcome] says whether it actually ran windowed (it does,
     for any [config] with positive lookahead) and how many windows it took. *)
-
-val run_events :
-  ?jobs:int ->
-  ?horizon:Cpufree_engine.Time.t ->
-  mode:Cpufree_obs.Sim_env.pdes ->
-  config -> report
-(** Build the event-driven (process-free) formulation of the model — per-rank
-    state in partition-owned arrays, every step a posted event, one state
-    provider registered per rank — and drain it with the requested driver.
-    Because it spawns no processes, [`Optimistic] genuinely takes the Time
-    Warp path (speculation, rollback, GVT), which the process-based
-    formulation can never do. Its {!output} is byte-identical across all four
-    modes and any worker count, but is not comparable to {!run_seq} /
-    {!run_windowed} output (different event structure). [horizon] seeds the
-    optimistic driver's speculation window; [config.metrics] is ignored here
-    (speculatively executed increments would over-count). *)
-
-val run_procs : ?jobs:int -> ?horizon:Cpufree_engine.Time.t -> mode:Cpufree_obs.Sim_env.pdes -> config -> report
-(** Drive the process-based formulation (the {!run_seq}/{!run_windowed}
-    model) with any mode. [`Optimistic] honestly falls back to the
-    conservative windowed driver — processes are one-shot continuations and
-    cannot be checkpointed — which the report's [outcome] records. *)

@@ -92,7 +92,7 @@ val canonical_string : t -> string
 (** The content identity of [(scenario, environment)]: a versioned string
     over the workload, architecture, GPU count, requested artifacts, and
     the {!Cpufree_obs.Sim_env.digest} of the scenario's sink-free
-    environment. The PDES mode is normalized away — all four drivers are
+    environment. The PDES mode is normalized away — both drivers are
     bit-identical by contract, so requests differing only in [pdes] share
     one cache entry. The artifact booleans stay: they change the response
     payload. *)

@@ -24,25 +24,8 @@ type process = {
 type event = { at : Time.t; seq : int; part : int; thunk : unit -> unit }
 
 (* Cross-partition message, buffered in the sender's outbox during a window
-   and applied at the barrier in canonical (time, sender, index) order.
-
-   The three mutable fields exist for the optimistic (Time Warp) driver only
-   and stay at their defaults under the conservative drivers: [m_dead] marks
-   a message annihilated by an anti-message (the sender rolled back past its
-   send), [m_consumed]/[m_done_pos] record that — and where in the
-   receiver's consumption log — the receiver has already executed it, so a
-   later annihilation knows to roll the receiver back too. *)
-type msg = {
-  m_at : Time.t;
-  m_sent_at : Time.t; (* sender's local clock at the send *)
-  m_src : int;
-  m_idx : int;
-  m_dst : int;
-  m_thunk : unit -> unit;
-  mutable m_dead : bool;
-  mutable m_consumed : bool;
-  mutable m_done_pos : int;
-}
+   and applied at the barrier in canonical (time, sender, index) order. *)
+type msg = { m_at : Time.t; m_src : int; m_idx : int; m_dst : int; m_thunk : unit -> unit }
 
 (* The event queue: an array-backed binary min-heap specialised to the
    engine's (at, seq, part) order, so the sifts compare three ints inline
@@ -115,15 +98,11 @@ module Evq = struct
       Array.unsafe_set data !i x
     end;
     top
-
-  (* Independent queue with the same events (shared): what optimistic
-     partition checkpoints are made of. *)
-  let copy q = { data = Array.sub q.data 0 q.size; size = q.size }
 end
 
 type partition = {
   id : int;
-  mutable queue : Evq.t; (* mutable so a rollback can swap in a checkpoint copy *)
+  queue : Evq.t;
   mutable pclock : Time.t; (* partition-local clock (windowed mode) *)
   mutable pseq : int; (* partition-local tie-break counter (windowed mode) *)
   mutable pexec : int; (* events executed in this partition *)
@@ -133,21 +112,11 @@ type partition = {
   mutable out_idx : int;
   mutable ptrace : Trace.t option; (* partition-local sink (windowed mode) *)
   mutable pexn : (exn * Printexc.raw_backtrace) option;
-  mutable savers : (unit -> unit -> unit) list; (* model-state snapshot providers *)
-  sent_live : (int, unit) Hashtbl.t;
-      (* Optimistic mode: send indices of this partition's cross-partition
-         messages that are delivered and not annihilated. When a rolled-back
-         partition re-executes (coasts forward) it regenerates the same send
-         sequence with the same indices; a send whose index is live here is
-         a duplicate of a message the receiver already has and is dropped. *)
 }
 
 (* Idle: between runs (setup / teardown). Seq: inside [run]. Win: inside the
-   windowed driver, where clocks, queues and trace sinks are per-partition.
-   Opt: inside the optimistic (Time Warp) driver — like Win, but [post] may
-   land at any future time: stragglers are repaired by rollback instead of
-   being forbidden by the lookahead check. *)
-type phase = Idle | Seq | Win | Opt
+   windowed driver, where clocks, queues and trace sinks are per-partition. *)
+type phase = Idle | Seq | Win
 
 type t = {
   mutable clock : Time.t;
@@ -162,12 +131,6 @@ type t = {
   mutable watch_next : Time.t; (* next time the watchdog scans for stalls *)
   mutable windows_total : int; (* windows executed across all windowed runs *)
   mutable stall_scan_count : int; (* watchdog scans actually performed *)
-  mutable solo_total : int; (* adaptive windows drained on the master domain *)
-  mutable opt_rounds_total : int; (* optimistic speculation rounds *)
-  mutable opt_rollbacks_total : int; (* partition rollbacks *)
-  mutable opt_anti_total : int; (* anti-messages sent (messages annihilated) *)
-  mutable opt_undone_total : int; (* events undone by rollbacks *)
-  mutable opt_gvt : Time.t; (* last computed global virtual time *)
 }
 
 exception Deadlock of string list
@@ -199,8 +162,6 @@ let make_partition id =
     out_idx = 0;
     ptrace = None;
     pexn = None;
-    savers = [];
-    sent_live = Hashtbl.create 64;
   }
 
 let create ?trace ?(partitions = 1) ?(isolated = false) ?watchdog () =
@@ -222,12 +183,6 @@ let create ?trace ?(partitions = 1) ?(isolated = false) ?watchdog () =
     watch_next = Time.zero;
     windows_total = 0;
     stall_scan_count = 0;
-    solo_total = 0;
-    opt_rounds_total = 0;
-    opt_rollbacks_total = 0;
-    opt_anti_total = 0;
-    opt_undone_total = 0;
-    opt_gvt = Time.zero;
   }
 
 let num_partitions t = Array.length t.parts
@@ -241,18 +196,18 @@ let cur_part t =
   match t.phase with
   | Idle -> 0
   | Seq -> if Array.length t.parts = 1 then 0 else Domain.DLS.get dls_part
-  | Win | Opt -> Domain.DLS.get dls_part
+  | Win -> Domain.DLS.get dls_part
 
 let current_partition = cur_part
 
 let now t =
   match t.phase with
-  | Win | Opt -> t.parts.(Domain.DLS.get dls_part).pclock
+  | Win -> t.parts.(Domain.DLS.get dls_part).pclock
   | Idle | Seq -> t.clock
 
 let trace t =
   match t.phase with
-  | Win | Opt -> t.parts.(Domain.DLS.get dls_part).ptrace
+  | Win -> t.parts.(Domain.DLS.get dls_part).ptrace
   | Idle | Seq -> t.trace_sink
 
 (* Push into a specific partition's queue. The tie-break counter is global
@@ -263,7 +218,7 @@ let trace t =
 let push_into t p at thunk =
   let seq =
     match t.phase with
-    | Win | Opt ->
+    | Win ->
       p.pseq <- p.pseq + 1;
       p.pseq
     | Idle | Seq ->
@@ -279,22 +234,6 @@ let schedule_at t at thunk =
 let check_partition t p fn =
   if p < 0 || p >= Array.length t.parts then
     invalid_arg (Printf.sprintf "Engine.%s: no such partition %d" fn p)
-
-let outbox_send p ~at ~dst thunk =
-  p.out_idx <- p.out_idx + 1;
-  p.outbox <-
-    {
-      m_at = at;
-      m_sent_at = p.pclock;
-      m_src = p.id;
-      m_idx = p.out_idx;
-      m_dst = dst;
-      m_thunk = thunk;
-      m_dead = false;
-      m_consumed = false;
-      m_done_pos = -1;
-    }
-    :: p.outbox
 
 let post t ~partition ~at thunk =
   check_partition t partition "post";
@@ -312,19 +251,13 @@ let post t ~partition ~at thunk =
            (Printf.sprintf
               "post from partition %d to %d at %s lands inside the current window (ends %s)"
               src partition (Time.to_string at) (Time.to_string t.wend)))
-    else outbox_send t.parts.(src) ~at ~dst:partition thunk
-  | Opt ->
-    (* No lookahead gate: the whole point of speculation. A message landing
-       in the receiver's past is repaired by rollback at the next barrier.
-       A send whose index is still live was already delivered before a
-       rollback; this re-send during coast-forward is the same logical
-       message, so it only advances the counter. *)
-    let src = Domain.DLS.get dls_part in
-    let p = t.parts.(src) in
-    if Time.(at < p.pclock) then invalid_arg "Engine.post: time in the past";
-    if partition = src then push_into t p at thunk
-    else if Hashtbl.mem p.sent_live (p.out_idx + 1) then p.out_idx <- p.out_idx + 1
-    else outbox_send p ~at ~dst:partition thunk
+    else begin
+      let p = t.parts.(src) in
+      p.out_idx <- p.out_idx + 1;
+      p.outbox <-
+        { m_at = at; m_src = src; m_idx = p.out_idx; m_dst = partition; m_thunk = thunk }
+        :: p.outbox
+    end
   | Idle | Seq ->
     if Time.(at < t.clock) then invalid_arg "Engine.post: time in the past";
     push_into t t.parts.(partition) at thunk
@@ -332,8 +265,8 @@ let post t ~partition ~at thunk =
 let delay_reason () = "delay"
 
 (* Clock of the partition a process belongs to: partition-local inside a
-   windowed or optimistic run, global otherwise. *)
-let part_clock t p = match t.phase with Win | Opt -> p.pclock | Idle | Seq -> t.clock
+   windowed run, global otherwise. *)
+let part_clock t p = match t.phase with Win -> p.pclock | Idle | Seq -> t.clock
 
 let finish_process t proc =
   proc.state <- Finished;
@@ -373,7 +306,7 @@ let exec_process t proc body =
                       woken := true;
                       let p = t.parts.(proc.part) in
                       (match t.phase with
-                      | Win | Opt ->
+                      | Win ->
                         if Domain.DLS.get dls_part <> proc.part then
                           raise
                             (Lookahead_violation
@@ -416,17 +349,6 @@ let register t ~fn ~name ~daemon ~partition ~group ~stackless start =
               "spawn of %s into partition %d from partition %d inside a window; post a \
                message that spawns locally instead"
               (name ()) part (Domain.DLS.get dls_part)))
-  | Opt ->
-    (* A process cannot be checkpointed, so it cannot be rolled back: a
-       fiber is a one-shot continuation, and a stackless chain's pending
-       step is a closure over live model state. The optimistic driver
-       refuses to start when processes exist; creating one mid-run is
-       equally unsupported. *)
-    invalid_arg
-      (Printf.sprintf
-         "Engine.%s: cannot spawn %S during an optimistic run; processes (one-shot \
-          continuations) cannot be checkpointed for rollback"
-         fn (name ()))
   | Idle | Seq -> ());
   let pid = Atomic.fetch_and_add t.next_pid 1 + 1 in
   let proc = { pid; pname = name; daemon; part; group; stackless; state = Ready } in
@@ -493,22 +415,6 @@ let live_processes t = Array.fold_left (fun acc p -> acc + p.plive) 0 t.parts
 let events_executed t = Array.fold_left (fun acc p -> acc + p.pexec) 0 t.parts
 let windows_executed t = t.windows_total
 let stall_scans t = t.stall_scan_count
-let solo_windows t = t.solo_total
-let optimistic_rounds t = t.opt_rounds_total
-let rollbacks t = t.opt_rollbacks_total
-let anti_messages t = t.opt_anti_total
-let events_rolled_back t = t.opt_undone_total
-let last_gvt t = t.opt_gvt
-
-let register_state t ~partition save =
-  check_partition t partition "register_state";
-  if t.phase <> Idle then
-    invalid_arg "Engine.register_state: engine is running";
-  let p = t.parts.(partition) in
-  p.savers <- save :: p.savers
-
-let registered_state_providers t =
-  Array.fold_left (fun acc p -> acc + List.length p.savers) 0 t.parts
 
 let registered_processes t =
   Array.fold_left (fun acc p -> acc + Hashtbl.length p.procs) 0 t.parts
@@ -590,7 +496,7 @@ let deadlock_report t =
 
 let global_now t =
   match t.phase with
-  | Win | Opt -> Array.fold_left (fun acc p -> Time.max acc p.pclock) t.clock t.parts
+  | Win -> Array.fold_left (fun acc p -> Time.max acc p.pclock) t.clock t.parts
   | Idle | Seq -> t.clock
 
 let stall_report t ~trigger =
@@ -692,8 +598,6 @@ let run ?until t =
 
 type outcome =
   | Windowed of { windows : int; jobs : int }
-  | Adaptive of { windows : int; solo_windows : int; jobs : int }
-  | Optimistic of { rounds : int; rollbacks : int; anti_messages : int; jobs : int }
   | Sequential of string
 
 let cmp_msg a b =
@@ -720,7 +624,6 @@ let setup_partitions t =
       p.outbox <- [];
       p.out_idx <- 0;
       p.pexn <- None;
-      Hashtbl.reset p.sent_live;
       p.ptrace <-
         (match t.trace_sink with
         | Some _ -> Some (Trace.create ~flows:(Trace.flows_enabled t.trace_sink) ())
@@ -761,96 +664,9 @@ let reraise_partition_exns t =
       | None -> ())
     t.parts
 
-(* Conservative barrier-synchronized window loop, shared by the static
-   ([run_windowed]) and adaptive ([run_adaptive]) drivers. [next_wend]
-   derives the exclusive end of the next window from the partition queue
-   heads ([None]: all drained). [want_pool], fed the previous window's event
-   count, decides whether the window is dense enough to be worth the
-   fork/join of a pool fan-out; sparse windows drain on the master domain. *)
-let conservative_loop t ~jobs ~next_wend ~want_pool =
-  let np = Array.length t.parts in
-  setup_partitions t;
-  t.phase <- Win;
-  let pool = if jobs > 1 then Some (Dpool.create ~jobs) else None in
-  let windows = ref 0 in
-  let solo = ref 0 in
-  (* Drain one partition's share of the current window. Exceptions (model
-     errors, lookahead violations) are stashed per partition and re-raised
-     after the barrier. *)
-  let exec_partition i =
-    let p = t.parts.(i) in
-    Domain.DLS.set dls_part i;
-    try
-      let continue_ = ref true in
-      while !continue_ do
-        if (not (Evq.is_empty p.queue)) && Time.((Evq.top p.queue).at < t.wend) then begin
-          let ev = Evq.pop p.queue in
-          p.pclock <- ev.at;
-          p.pexec <- p.pexec + 1;
-          ev.thunk ()
-        end
-        else continue_ := false
-      done
-    with e -> p.pexn <- Some (e, Printexc.get_raw_backtrace ())
-  in
-  let last_evts = ref np in
-  Fun.protect
-    ~finally:(fun () -> teardown_partitions t pool)
-    (fun () ->
-      let running = ref true in
-      while !running do
-        match next_wend () with
-        | None ->
-          if live_processes t > 0 then raise (Deadlock (deadlock_report t));
-          running := false
-        | Some wend ->
-          t.wend <- wend;
-          incr windows;
-          t.windows_total <- t.windows_total + 1;
-          let before = events_executed t in
-          (match pool with
-          | Some pool when want_pool !last_evts -> Dpool.run pool ~n:np exec_partition
-          | Some _ ->
-            incr solo;
-            t.solo_total <- t.solo_total + 1;
-            for i = 0 to np - 1 do
-              exec_partition i
-            done
-          | None ->
-            for i = 0 to np - 1 do
-              exec_partition i
-            done);
-          reraise_partition_exns t;
-          last_evts := events_executed t - before;
-          (* Barrier: apply cross-partition messages in canonical order so
-             every target queue ends up byte-identical regardless of how
-             partitions were scheduled onto domains. *)
-          let msgs =
-            Array.fold_left
-              (fun acc p ->
-                let o = p.outbox in
-                p.outbox <- [];
-                List.rev_append o acc)
-              [] t.parts
-          in
-          (match msgs with
-          | [] -> ()
-          | msgs ->
-            List.iter
-              (fun m -> push_into t t.parts.(m.m_dst) m.m_at m.m_thunk)
-              (List.sort cmp_msg msgs));
-          (* Stall scan at the barrier: a wait older than the watchdog
-             bound relative to the window just drained is a livelock. *)
-          (match t.watchdog with
-          | Some w -> (
-            t.stall_scan_count <- t.stall_scan_count + 1;
-            match oldest_untimed_blocked t with
-            | Some since when Time.(Time.add since w <= t.wend) -> watchdog_fire t w
-            | Some _ | None -> ())
-          | None -> ())
-      done);
-  (!windows, !solo)
-
+(* Conservative barrier-synchronized windows: each window extends one
+   lookahead past the earliest pending event, so no event inside it can hear
+   from a peer partition before the barrier. *)
 let run_windowed ?jobs ~lookahead t =
   if t.phase <> Idle then invalid_arg "Engine.run_windowed: engine is already running";
   let np = Array.length t.parts in
@@ -863,453 +679,88 @@ let run_windowed ?jobs ~lookahead t =
   else if not t.isolated then fallback "engine not created with ~isolated:true"
   else begin
     let jobs = clamp_jobs jobs np in
-    let next_wend () =
-      let floor =
-        Array.fold_left
-          (fun acc p ->
-            if Evq.is_empty p.queue then acc
-            else
-              let at = (Evq.top p.queue).at in
-              match acc with None -> Some at | Some a -> Some (Time.min a at))
-          None t.parts
-      in
-      match floor with None -> None | Some f -> Some (Time.add f lookahead)
-    in
-    let windows, _solo = conservative_loop t ~jobs ~next_wend ~want_pool:(fun _ -> true) in
-    Windowed { windows; jobs }
-  end
-
-let run_adaptive ?jobs ?lookahead_of ~lookahead t =
-  if t.phase <> Idle then invalid_arg "Engine.run_adaptive: engine is already running";
-  let np = Array.length t.parts in
-  let fallback reason =
-    run t;
-    Sequential reason
-  in
-  if np = 1 then fallback "single partition"
-  else if Time.equal lookahead Time.zero then fallback "zero lookahead"
-  else if not t.isolated then fallback "engine not created with ~isolated:true"
-  else begin
-    let jobs = clamp_jobs jobs np in
-    (* Per-source outbound lookahead, hoisted out of the window loop so the
-       Arch/Interconnect lookup chain runs once per drive instead of once
-       per window. Floored at the global bound: a per-source figure can only
-       widen the window. *)
-    let la =
-      Array.init np (fun i ->
-          match lookahead_of with
-          | None -> lookahead
-          | Some f -> Time.max lookahead (f i))
-    in
-    (* A window may extend to the earliest instant any partition could next
-       affect a peer: min over non-empty queues of (head + outbound
-       lookahead). Every send from partition p lands at or after its current
-       clock plus la.(p), so no event inside the window can hear from a
-       peer — the static driver's invariant, with the bound tracking where
-       the queues actually are instead of the global floor. *)
+    setup_partitions t;
+    t.phase <- Win;
+    let pool = if jobs > 1 then Some (Dpool.create ~jobs) else None in
+    let windows = ref 0 in
+    (* Exclusive end of the next window; [None] once every queue drained. *)
     let next_wend () =
       Array.fold_left
         (fun acc p ->
           if Evq.is_empty p.queue then acc
           else
-            let w = Time.add (Evq.top p.queue).at la.(p.id) in
-            match acc with None -> Some w | Some a -> Some (Time.min a w))
+            let at = (Evq.top p.queue).at in
+            match acc with None -> Some at | Some a -> Some (Time.min a at))
         None t.parts
+      |> Option.map (fun floor -> Time.add floor lookahead)
     in
-    (* Density throttle: fan out to the pool only while the recent
-       per-window event count (a 4-window EMA) amortizes the fork/join.
-       Depends only on simulated event counts, so the schedule — and hence
-       the simulated result — is deterministic for any worker count. *)
-    let ema = ref np in
-    let want_pool last =
-      ema := ((3 * !ema) + last) / 4;
-      !ema >= np
-    in
-    let windows, solo_windows = conservative_loop t ~jobs ~next_wend ~want_pool in
-    Adaptive { windows; solo_windows; jobs }
-  end
-
-(* A partition checkpoint: everything a rollback must restore — queue
-   snapshot, clocks and counters, how much of the consumption and send logs
-   existed, the trace position, and the composed model-state restore built
-   from the registered savers. *)
-type ckpt = {
-  c_pclock : Time.t;
-  c_pseq : int;
-  c_pexec : int;
-  c_out_idx : int;
-  c_queue : Evq.t;
-  c_done_len : int;
-  c_sent_len : int;
-  c_trace : Trace.mark option;
-  c_restore : unit -> unit;
-}
-
-let run_optimistic ?jobs ?horizon ?max_horizon ?on_gvt ~lookahead t =
-  if t.phase <> Idle then invalid_arg "Engine.run_optimistic: engine is already running";
-  let np = Array.length t.parts in
-  if np = 1 then begin
-    run t;
-    Sequential "single partition"
-  end
-  else if not t.isolated then begin
-    run t;
-    Sequential "engine not created with ~isolated:true"
-  end
-  else if registered_processes t > 0 || registered_state_providers t = 0 then
-    (* Processes are one-shot continuations — they cannot be checkpointed —
-       and a model that registered no state cannot be restored. Either way
-       conservative windows are the right degree of parallelism, and they
-       produce the same simulated result. *)
-    run_windowed ?jobs ~lookahead t
-  else begin
-    let jobs = clamp_jobs jobs np in
-    let h0 =
-      match horizon with
-      | Some h when Time.(h > Time.zero) -> h
-      | Some _ -> invalid_arg "Engine.run_optimistic: horizon must be positive"
-      | None ->
-        if Time.(lookahead > Time.zero) then Time.ns (8 * Time.to_ns lookahead)
-        else Time.us 8
-    in
-    let h_min =
-      if Time.(lookahead > Time.zero) then Time.min lookahead h0 else Time.min (Time.us 1) h0
-    in
-    let h_max =
-      match max_horizon with Some h -> Time.max h h0 | None -> Time.ns (8 * Time.to_ns h0)
-    in
-    setup_partitions t;
-    t.phase <- Opt;
-    let pool = if jobs > 1 then Some (Dpool.create ~jobs) else None in
-    (* Time Warp bookkeeping, indexed by partition. Each slot is touched
-       either by that partition's worker during a round or by the master at
-       the barrier, never both at once (the pool's fork/join orders them). *)
-    let inbox = Array.init np (fun _ -> Heap.create ~cmp:cmp_msg) in
-    let done_log = Array.make np [] in (* consumed messages, newest first *)
-    let done_len = Array.make np 0 in (* absolute count, log positions never shift *)
-    let sent_log = Array.make np [] in (* delivered live sends, newest first *)
-    let sent_len = Array.make np 0 in
-    let ckpts : ckpt list array = Array.make np [] in (* newest first *)
-    let horizons = Array.make np h0 in
-    let hends = Array.make np Time.zero in
-    let clean = Array.make np 0 in (* consecutive rollback-free rounds *)
-    let rolled = Array.make np false in
-    let rounds = ref 0
-    and rollbacks = ref 0
-    and antis = ref 0 in
-    let take_ckpt i =
-      let p = t.parts.(i) in
-      match ckpts.(i) with
-      | c :: _
-        when c.c_pexec = p.pexec && c.c_pseq = p.pseq && c.c_done_len = done_len.(i)
-             && Time.equal c.c_pclock p.pclock ->
-        (* Nothing ran since the last checkpoint — no event, no consumption —
-           so the partition state is bit-identical and the old checkpoint
-           still covers it. Common for partitions blocked at a sync point
-           while a straggler partition catches up. *)
-        ()
-      | _ ->
-      let restores = List.rev_map (fun save -> save ()) p.savers in
-      ckpts.(i) <-
-        {
-          c_pclock = p.pclock;
-          c_pseq = p.pseq;
-          c_pexec = p.pexec;
-          c_out_idx = p.out_idx;
-          c_queue = Evq.copy p.queue;
-          c_done_len = done_len.(i);
-          c_sent_len = sent_len.(i);
-          c_trace = (match p.ptrace with Some tr -> Some (Trace.mark tr) | None -> None);
-          c_restore = (fun () -> List.iter (fun r -> r ()) restores);
-        }
-        :: ckpts.(i)
-    in
-    (* Head of the pending inbox, discarding annihilated messages. *)
-    let inbox_head i =
-      let rec go () =
-        match Heap.peek inbox.(i) with
-        | Some m when m.m_dead ->
-          ignore (Heap.pop inbox.(i) : msg option);
-          go ()
-        | other -> other
-      in
-      go ()
-    in
-    (* Earliest unprocessed item of partition [i]: queue head or pending
-       message, whichever is sooner. *)
-    let next_time i =
-      let q = t.parts.(i).queue in
-      let e = if Evq.is_empty q then None else Some (Evq.top q).at in
-      let m = match inbox_head i with Some m -> Some m.m_at | None -> None in
-      match (e, m) with
-      | None, x | x, None -> x
-      | Some a, Some b -> Some (Time.min a b)
-    in
-    (* GVT: no partition holds — and no partition can ever again produce —
-       an unprocessed item earlier than this. Computed at the barrier, when
-       outboxes are empty, so pending items are the whole picture. *)
-    let compute_gvt () =
-      let acc = ref None in
-      for i = 0 to np - 1 do
-        match next_time i with
-        | None -> ()
-        | Some u -> (
-          match !acc with
-          | None -> acc := Some u
-          | Some a -> if Time.(u < a) then acc := Some u)
-      done;
-      !acc
-    in
-    let rec take n l = if n <= 0 then [] else match l with x :: r -> x :: take (n - 1) r | [] -> [] in
-    (* Fossil collection: keep every checkpoint down to (and including) the
-       newest one strictly before GVT. That anchor is the deepest any future
-       rollback can reach — every straggler and annihilation carries a
-       timestamp at or after GVT — so everything older is committed. *)
-    let fossil gvt =
-      for i = 0 to np - 1 do
-        let rec keep = function
-          | [] -> []
-          | c :: rest -> if Time.(c.c_pclock < gvt) then [ c ] else c :: keep rest
-        in
-        let kept = keep ckpts.(i) in
-        ckpts.(i) <- kept;
-        match List.rev kept with
-        | [] -> ()
-        | anchor :: _ ->
-          done_log.(i) <- take (done_len.(i) - anchor.c_done_len) done_log.(i);
-          sent_log.(i) <- take (sent_len.(i) - anchor.c_sent_len) sent_log.(i);
-          (* Send indices at or below the anchor's counter can never be
-             regenerated by a rollback; drop them when the table has grown
-             past reason so it tracks the speculative frontier only. *)
-          let p = t.parts.(i) in
-          if Hashtbl.length p.sent_live > 1024 then begin
-            let stale =
-              Hashtbl.fold
-                (fun idx () acc -> if idx <= anchor.c_out_idx then idx :: acc else acc)
-                p.sent_live []
-            in
-            List.iter (fun idx -> Hashtbl.remove p.sent_live idx) stale
-          end
-      done
-    in
-    (* Speculatively drain partition [i] up to its horizon. Queue events and
-       pending messages interleave in timestamp order; at equal timestamps
-       the queue event runs first, mirroring how the conservative barrier
-       appends arriving messages after a partition's own same-time events. *)
-    let exec_opt i =
+    (* Drain one partition's share of the current window. Exceptions (model
+       errors, lookahead violations) are stashed per partition and re-raised
+       after the barrier. *)
+    let exec_partition i =
       let p = t.parts.(i) in
       Domain.DLS.set dls_part i;
-      let hend = hends.(i) in
       try
         let continue_ = ref true in
         while !continue_ do
-          let head = if Evq.is_empty p.queue then None else Some (Evq.top p.queue) in
-          let pick =
-            match (head, inbox_head i) with
-            | None, None -> None
-            | Some ev, None -> if Time.(ev.at < hend) then Some (Either.Left ev) else None
-            | None, Some m -> if Time.(m.m_at < hend) then Some (Either.Right m) else None
-            | Some ev, Some m ->
-              if Time.(ev.at <= m.m_at) then
-                if Time.(ev.at < hend) then Some (Either.Left ev) else None
-              else if Time.(m.m_at < hend) then Some (Either.Right m)
-              else None
-          in
-          match pick with
-          | None -> continue_ := false
-          | Some (Either.Left ev) ->
-            ignore (Evq.pop p.queue : event);
+          if (not (Evq.is_empty p.queue)) && Time.((Evq.top p.queue).at < t.wend) then begin
+            let ev = Evq.pop p.queue in
             p.pclock <- ev.at;
             p.pexec <- p.pexec + 1;
             ev.thunk ()
-          | Some (Either.Right m) ->
-            ignore (Heap.pop inbox.(i) : msg option);
-            m.m_consumed <- true;
-            m.m_done_pos <- done_len.(i);
-            done_log.(i) <- m :: done_log.(i);
-            done_len.(i) <- done_len.(i) + 1;
-            p.pclock <- m.m_at;
-            p.pexec <- p.pexec + 1;
-            m.m_thunk ()
+          end
+          else continue_ := false
         done
       with e -> p.pexn <- Some (e, Printexc.get_raw_backtrace ())
-    in
-    (* Rollback constraints accumulated during a barrier: the earliest
-       straggler/annihilation time per partition, and the lowest consumption
-       log position that must be undone. *)
-    let cons_at : Time.t option array = Array.make np None in
-    let cons_dp = Array.make np max_int in
-    let add_constraint q at dp =
-      (match cons_at.(q) with
-      | None -> cons_at.(q) <- Some at
-      | Some a -> if Time.(at < a) then cons_at.(q) <- Some at);
-      if dp < cons_dp.(q) then cons_dp.(q) <- dp
-    in
-    (* Roll partition [i] back to the newest checkpoint consistent with the
-       constraint, annihilate the sends its re-execution may diverge on, and
-       queue cascading constraints for receivers that consumed them. *)
-    let rollback i ~at ~dp =
-      let p = t.parts.(i) in
-      if Time.(p.pclock <= at) && done_len.(i) <= dp then ()
-      else begin
-        incr rollbacks;
-        t.opt_rollbacks_total <- t.opt_rollbacks_total + 1;
-        rolled.(i) <- true;
-        let rec find = function
-          | c :: rest ->
-            if Time.(c.c_pclock <= at) && c.c_done_len <= dp then (c, c :: rest)
-            else find rest
-          | [] ->
-            (* The fossil anchor always satisfies any reachable constraint. *)
-            assert false
-        in
-        let c, kept = find ckpts.(i) in
-        ckpts.(i) <- kept;
-        t.opt_undone_total <- t.opt_undone_total + (p.pexec - c.c_pexec);
-        c.c_restore ();
-        p.queue <- Evq.copy c.c_queue;
-        p.pclock <- c.c_pclock;
-        p.pseq <- c.c_pseq;
-        p.pexec <- c.c_pexec;
-        p.out_idx <- c.c_out_idx;
-        (match (p.ptrace, c.c_trace) with
-        | Some tr, Some m -> Trace.rewind tr m
-        | _ -> ());
-        (* Unconsume: speculatively consumed messages return to pending. *)
-        while done_len.(i) > c.c_done_len do
-          match done_log.(i) with
-          | m :: rest ->
-            done_log.(i) <- rest;
-            done_len.(i) <- done_len.(i) - 1;
-            m.m_consumed <- false;
-            m.m_done_pos <- -1;
-            if not m.m_dead then Heap.push inbox.(i) m
-          | [] -> assert false
-        done;
-        (* Anti-messages, aggressive but bounded by the rollback time: a
-           send made at or after [at] may not recur when the partition
-           re-executes, so it is annihilated (and its consumer rolled back).
-           Sends made before [at] are untouched — coast-forward re-execution
-           below [at] is byte-identical, so they stay valid and the
-           duplicate re-sends are suppressed by [sent_live]. *)
-        let above = sent_len.(i) - c.c_sent_len in
-        let rec prune n l =
-          if n = 0 then l
-          else
-            match l with
-            | m :: rest ->
-              let rest' = prune (n - 1) rest in
-              if Time.(m.m_sent_at >= at) then begin
-                m.m_dead <- true;
-                incr antis;
-                t.opt_anti_total <- t.opt_anti_total + 1;
-                sent_len.(i) <- sent_len.(i) - 1;
-                Hashtbl.remove p.sent_live m.m_idx;
-                if m.m_consumed then add_constraint m.m_dst m.m_at m.m_done_pos;
-                rest'
-              end
-              else m :: rest'
-            | [] -> assert false
-        in
-        sent_log.(i) <- prune above sent_log.(i)
-      end
-    in
-    (* Settle all rollback constraints to a fixpoint, lowest partition id
-       first: deterministic, and terminating because every effective
-       rollback strictly shrinks some consumption or send log. *)
-    let rec settle () =
-      let q = ref (-1) in
-      (try
-         for i = 0 to np - 1 do
-           match cons_at.(i) with
-           | Some _ ->
-             q := i;
-             raise Exit
-           | None -> ()
-         done
-       with Exit -> ());
-      if !q >= 0 then begin
-        let i = !q in
-        let at = match cons_at.(i) with Some a -> a | None -> assert false in
-        let dp = cons_dp.(i) in
-        cons_at.(i) <- None;
-        cons_dp.(i) <- max_int;
-        rollback i ~at ~dp;
-        settle ()
-      end
-    in
-    let barrier () =
-      let msgs =
-        Array.fold_left
-          (fun acc p ->
-            let o = p.outbox in
-            p.outbox <- [];
-            List.rev_append o acc)
-          [] t.parts
-      in
-      let msgs = List.sort cmp_msg msgs in
-      List.iter
-        (fun m ->
-          let s = t.parts.(m.m_src) in
-          sent_log.(m.m_src) <- m :: sent_log.(m.m_src);
-          sent_len.(m.m_src) <- sent_len.(m.m_src) + 1;
-          Hashtbl.replace s.sent_live m.m_idx ();
-          Heap.push inbox.(m.m_dst) m)
-        msgs;
-      (* Stragglers: a delivery in the receiver's speculated past. *)
-      List.iter
-        (fun m ->
-          if (not m.m_dead) && Time.(m.m_at < t.parts.(m.m_dst).pclock) then
-            add_constraint m.m_dst m.m_at max_int)
-        msgs;
-      settle ();
-      (* Throttle: halve a rolled-back partition's speculation horizon,
-         double it back after four clean rounds. Driven purely by simulated
-         state, so the schedule is identical for any worker count. *)
-      for i = 0 to np - 1 do
-        if rolled.(i) then begin
-          rolled.(i) <- false;
-          clean.(i) <- 0;
-          horizons.(i) <- Time.max h_min (Time.ns (Time.to_ns horizons.(i) / 2))
-        end
-        else begin
-          clean.(i) <- clean.(i) + 1;
-          if clean.(i) >= 4 then begin
-            clean.(i) <- 0;
-            horizons.(i) <- Time.min h_max (Time.ns (2 * Time.to_ns horizons.(i)))
-          end
-        end
-      done
     in
     Fun.protect
       ~finally:(fun () -> teardown_partitions t pool)
       (fun () ->
         let running = ref true in
         while !running do
-          match compute_gvt () with
-          | None -> running := false
-          | Some gvt ->
-            t.opt_gvt <- gvt;
-            (match on_gvt with Some f -> f gvt | None -> ());
-            fossil gvt;
-            for i = 0 to np - 1 do
-              take_ckpt i
-            done;
-            incr rounds;
-            t.opt_rounds_total <- t.opt_rounds_total + 1;
-            for i = 0 to np - 1 do
-              hends.(i) <- Time.add gvt horizons.(i)
-            done;
+          match next_wend () with
+          | None ->
+            if live_processes t > 0 then raise (Deadlock (deadlock_report t));
+            running := false
+          | Some wend ->
+            t.wend <- wend;
+            incr windows;
+            t.windows_total <- t.windows_total + 1;
             (match pool with
-            | Some pool -> Dpool.run pool ~n:np exec_opt
+            | Some pool -> Dpool.run pool ~n:np exec_partition
             | None ->
               for i = 0 to np - 1 do
-                exec_opt i
+                exec_partition i
               done);
             reraise_partition_exns t;
-            barrier ()
+            (* Barrier: apply cross-partition messages in canonical order so
+               every target queue ends up byte-identical regardless of how
+               partitions were scheduled onto domains. *)
+            let msgs =
+              Array.fold_left
+                (fun acc p ->
+                  let o = p.outbox in
+                  p.outbox <- [];
+                  List.rev_append o acc)
+                [] t.parts
+            in
+            (match msgs with
+            | [] -> ()
+            | msgs ->
+              List.iter
+                (fun m -> push_into t t.parts.(m.m_dst) m.m_at m.m_thunk)
+                (List.sort cmp_msg msgs));
+            (* Stall scan at the barrier: a wait older than the watchdog
+               bound relative to the window just drained is a livelock. *)
+            (match t.watchdog with
+            | Some w -> (
+              t.stall_scan_count <- t.stall_scan_count + 1;
+              match oldest_untimed_blocked t with
+              | Some since when Time.(Time.add since w <= t.wend) -> watchdog_fire t w
+              | Some _ | None -> ())
+            | None -> ())
         done);
-    Optimistic { rounds = !rounds; rollbacks = !rollbacks; anti_messages = !antis; jobs }
+    Windowed { windows = !windows; jobs }
   end
 
 let elapse t f =

@@ -144,8 +144,7 @@ val spawn_stackless :
     Apart from the missing stack it is a process like any other: its pid is
     drawn in spawn order, it counts in the live set and the registry until
     it finishes, it reports as ["delay (since T)"] while it sleeps, and it is
-    refused inside a window or during an optimistic run exactly as {!spawn}
-    is. Because no continuation is captured, starting and resuming one costs
+    refused inside a window exactly as {!spawn} is. Because no continuation is captured, starting and resuming one costs
     a closure rather than a fiber. *)
 
 val sleep_until : t -> process -> Time.t -> (unit -> unit) -> unit
@@ -205,12 +204,6 @@ val run : ?until:Time.t -> t -> unit
 
 type outcome =
   | Windowed of { windows : int; jobs : int }  (** windows executed, workers used *)
-  | Adaptive of { windows : int; solo_windows : int; jobs : int }
-      (** adaptively sized windows; [solo_windows] of them were sparse
-          enough to drain on the master domain without a pool fan-out *)
-  | Optimistic of { rounds : int; rollbacks : int; anti_messages : int; jobs : int }
-      (** Time Warp speculation rounds, partition rollbacks and annihilated
-          messages over this run *)
   | Sequential of string  (** fell back to {!run}; the reason why *)
 
 val run_windowed : ?jobs:int -> lookahead:Time.t -> t -> outcome
@@ -225,65 +218,6 @@ val run_windowed : ?jobs:int -> lookahead:Time.t -> t -> outcome
     @raise Deadlock as {!run}.
     @raise Lookahead_violation if the model breaks partition isolation. *)
 
-val run_adaptive : ?jobs:int -> ?lookahead_of:(int -> Time.t) -> lookahead:Time.t -> t -> outcome
-(** Like {!run_windowed}, but each window extends to the earliest instant any
-    partition could next affect a peer — the minimum over non-empty
-    partitions of (queue head + that partition's outbound lookahead) — rather
-    than a fixed [lookahead] past the global queue floor, so windows widen
-    whenever the queues run ahead of the floor. [lookahead_of] gives the
-    per-source outbound lookahead (a lower bound on the latency of any
-    message the partition sends; it is clamped up to at least [lookahead] and
-    evaluated once, outside the window loop); omitted, every partition uses
-    [lookahead]. Sparse windows — detected from a running per-window event
-    count — are drained on the master domain, skipping the pool fork/join.
-    Same fallbacks, determinism guarantees and exceptions as {!run_windowed};
-    the simulated result is byte-identical to {!run} and {!run_windowed}. *)
-
-val run_optimistic :
-  ?jobs:int ->
-  ?horizon:Time.t ->
-  ?max_horizon:Time.t ->
-  ?on_gvt:(Time.t -> unit) ->
-  lookahead:Time.t ->
-  t ->
-  outcome
-(** Drain the simulation with optimistic (Time Warp) synchronization:
-    partitions speculate past the lookahead bound up to a per-partition
-    {e horizon} beyond GVT (the global minimum unprocessed-item time),
-    checkpointing their state every round. A cross-partition message landing
-    in a receiver's speculated past (a {e straggler}) rolls the receiver back
-    to the newest consistent checkpoint; sends that the re-execution may not
-    reproduce are annihilated with anti-messages, cascading rollbacks to
-    their consumers. GVT advances every round, committing history for fossil
-    collection of checkpoints and logs. The rollback throttle halves a
-    partition's horizon when it rolls back and doubles it after four clean
-    rounds, between [lookahead] (or 1 µs when zero) and [max_horizon];
-    [horizon] seeds it (default 8 × [lookahead], or 8 µs when [lookahead] is
-    zero). [on_gvt] observes each GVT computation (it is monotone
-    non-decreasing and never exceeds any partition's earliest unprocessed
-    item — the property the test suite checks).
-
-    Rollback can only restore state the engine knows how to snapshot, so the
-    driver requires a {e process-free} model: every behavior expressed as
-    events ({!schedule_at} / {!post}) and all mutable model state registered
-    via {!register_state}. If any process is live, or no state was
-    registered, it degrades to {!run_windowed} (which simulates the exact
-    same result, conservatively). Single-partition and non-[isolated]
-    engines fall back to {!run} as usual. The simulated result is
-    deterministic and byte-identical to {!run} at any worker count.
-
-    @raise Deadlock as {!run}. *)
-
-val register_state :
-  t -> partition:int -> (unit -> unit -> unit) -> unit
-(** [register_state t ~partition save] declares mutable model state owned by
-    [partition] for optimistic checkpointing. Every round, the driver calls
-    [save ()] to capture an immutable snapshot and gets back a restore
-    closure; on rollback it invokes the restore closures of the target
-    checkpoint (a checkpoint may be restored more than once, so the closure
-    must copy out of its snapshot, not hand back shared mutable structure).
-    Must be called while the engine is idle. *)
-
 val events_executed : t -> int
 (** Total events executed so far, across all partitions and runs — the
     numerator of the engine-throughput (events/sec) microbenchmark. *)
@@ -295,32 +229,6 @@ val windows_executed : t -> int
 val stall_scans : t -> int
 (** Stall-watchdog scans actually performed (the amortized check plus the
     per-window barrier scan); 0 when no watchdog is armed. *)
-
-val solo_windows : t -> int
-(** Adaptive windows drained on the master domain (no pool fan-out), across
-    all {!run_adaptive} calls on this engine. *)
-
-val optimistic_rounds : t -> int
-(** Speculation rounds executed across all {!run_optimistic} calls. *)
-
-val rollbacks : t -> int
-(** Partition rollbacks performed across all {!run_optimistic} calls. *)
-
-val anti_messages : t -> int
-(** Messages annihilated by rollbacks across all {!run_optimistic} calls. *)
-
-val events_rolled_back : t -> int
-(** Speculatively executed events undone by rollbacks (they re-execute after
-    the rollback, so {!events_executed} still counts each committed event
-    exactly once). *)
-
-val last_gvt : t -> Time.t
-(** The most recently computed global virtual time ({!Time.zero} before the
-    first optimistic round). *)
-
-val registered_state_providers : t -> int
-(** Model-state savers registered via {!register_state}, over all
-    partitions. *)
 
 val live_processes : t -> int
 (** Non-daemon processes not yet finished, of either kind: what keeps

@@ -311,49 +311,6 @@ let to_chrome_json t =
   Buffer.add_string buf "]";
   Buffer.contents buf
 
-(* Rollback support for the optimistic PDES driver: a mark freezes the
-   current recording position (span count, flow count); rewinding truncates
-   everything recorded after it. Only meaningful on partition-private sinks,
-   where recording order is append-only per partition — the merged global
-   sink is never rewound. *)
-type mark = { m_spans : int; m_flows : int }
-
-let mark t = { m_spans = t.n; m_flows = t.fn }
-
-let rewind t m =
-  if m.m_spans > t.n || m.m_flows > t.fn then
-    invalid_arg "Trace.rewind: mark is ahead of the trace";
-  if m.m_spans < t.n then begin
-    t.n <- m.m_spans;
-    (* The per-lane indices and the time window are derived state: rebuild
-       them from the surviving prefix. Rollbacks are the rare path, so the
-       O(n) rebuild is paid only on misspeculation. *)
-    Hashtbl.reset t.by_lane;
-    t.lo <- Time.zero;
-    t.hi <- Time.zero;
-    for i = 0 to t.n - 1 do
-      let s = t.store.(i) in
-      let li =
-        match Hashtbl.find_opt t.by_lane s.lane with
-        | Some li -> li
-        | None ->
-          let li = { idx = [||]; len = 0 } in
-          Hashtbl.replace t.by_lane s.lane li;
-          li
-      in
-      lane_push li i;
-      if i = 0 then begin
-        t.lo <- s.t0;
-        t.hi <- s.t1
-      end
-      else begin
-        t.lo <- Time.min t.lo s.t0;
-        t.hi <- Time.max t.hi s.t1
-      end
-    done
-  end;
-  t.fn <- m.m_flows
-
 let clear t =
   t.store <- [||];
   t.n <- 0;

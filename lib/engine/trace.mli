@@ -120,15 +120,3 @@ val to_chrome_json : t -> string
     one thread row per lane): load in chrome://tracing or Perfetto. *)
 
 val clear : t -> unit
-
-type mark
-(** A recording position: span and flow counts at the moment it was taken. *)
-
-val mark : t -> mark
-
-val rewind : t -> mark -> unit
-(** Truncate everything recorded after [mark]. The optimistic PDES driver
-    rewinds a partition-private sink when it rolls the partition back to a
-    checkpoint, discarding the spans of misspeculated events; deterministic
-    re-execution then records them again.
-    @raise Invalid_argument if the mark is ahead of the trace. *)

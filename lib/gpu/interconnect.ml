@@ -47,10 +47,8 @@ type t = {
   ports : E.Sync.Resource.t array; (* one per topology port, indexed by pid *)
   setup : Time.t array; (* indexed by initiator *)
   rows : entry option array option array; (* rows.(src_idx).(dst_idx), lazy *)
-  lock : Mutex.t; (* guards rows/out_look fills *)
+  lock : Mutex.t; (* guards row fills *)
   look : Time.t;
-  min_setup : Time.t;
-  out_look : Time.t option array; (* per-source outbound lookahead, lazy *)
   min_gpu_wire : Time.t;
   max_gpu_wire : Time.t;
   faults : F.plan option;
@@ -142,8 +140,6 @@ let create ?(topology = M.Topology.Hgx) ?faults ?metrics eng ~arch ~num_gpus =
     rows = Array.make m None;
     lock = Mutex.create ();
     look;
-    min_setup = Time.min arch.Arch.host_initiated_latency arch.Arch.gpu_initiated_latency;
-    out_look = Array.make m None;
     min_gpu_wire = gpu_wire M.Topology.min_gpu_pair_latency arch.Arch.nvlink_latency;
     max_gpu_wire = gpu_wire M.Topology.max_gpu_pair_latency arch.Arch.nvlink_latency;
     faults;
@@ -265,42 +261,6 @@ let serialization_time e ~bytes =
    partitions plus the host/interconnect partition): the conservative window
    width for {!Cpufree_engine.Engine.run_windowed}. *)
 let lookahead t = t.look
-
-(* Cheapest latency of any interaction [src] itself can initiate — the
-   per-source bound the adaptive windowed driver sizes its windows with.
-   Resolved lazily per source by querying the topology directly (an O(m)
-   scan of O(path-length) structural lookups), deliberately bypassing the
-   pair memo so sizing windows for 1024 partitions never materializes the
-   quadratic table. *)
-let source_lookahead t ~src =
-  check_endpoint t src;
-  let si = idx_of t src in
-  match t.out_look.(si) with
-  | Some l -> l
-  | None ->
-    Mutex.lock t.lock;
-    let l =
-      match t.out_look.(si) with
-      | Some l -> l
-      | None ->
-        let best = ref None in
-        for di = 0 to t.n do
-          if di <> si then begin
-            let sv, dv =
-              vertex_pair t.topo ~src:(endpoint_of_idx t.n si) ~dst:(endpoint_of_idx t.n di)
-            in
-            let l = Time.add (M.Topology.route_latency t.topo ~src:sv ~dst:dv) t.min_setup in
-            match !best with
-            | None -> best := Some l
-            | Some b -> if Time.(l < b) then best := Some l
-          end
-        done;
-        let l = match !best with Some l -> l | None -> t.look in
-        t.out_look.(si) <- Some l;
-        l
-    in
-    Mutex.unlock t.lock;
-    l
 
 let transfer_time t ~src ~dst ~initiator ~bytes =
   check_endpoint t src;

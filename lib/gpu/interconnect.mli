@@ -61,13 +61,6 @@ val lookahead : t -> Cpufree_engine.Time.t
     attach plus the cheapest initiation cost. On the default single-node
     NVSwitch topology this equals {!Arch.lookahead_bound}. *)
 
-val source_lookahead : t -> src:endpoint -> Cpufree_engine.Time.t
-(** Per-source outbound lookahead: the minimum latency of any interaction
-    [src] itself can initiate toward a peer (cheapest routed wire plus the
-    cheapest initiation cost). Resolved lazily per source and memoized, so
-    the adaptive windowed driver can consult it per window without
-    re-walking the routing tables — and without filling the pair memo. *)
-
 val wire_latency : t -> src:endpoint -> dst:endpoint -> Cpufree_engine.Time.t
 (** Routed wire latency between two endpoints, without initiator setup. *)
 

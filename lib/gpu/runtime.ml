@@ -100,16 +100,6 @@ let scaled_cost t ~gpu cost =
 let gpu_partition t g = if t.partitioned then g + 1 else 0
 let lookahead t = Interconnect.lookahead t.net
 
-(* Per-partition outbound lookahead for the adaptive windowed driver:
-   partition 0 is the host side, partition [g + 1] is device [g]. Anything
-   out of range (extra engine partitions with no device) conservatively gets
-   the host bound. *)
-let lookahead_of t part =
-  let src =
-    if part >= 1 && part <= t.n then Interconnect.Gpu (part - 1) else Interconnect.Host
-  in
-  Interconnect.source_lookahead t.net ~src
-
 let device t i =
   if i < 0 || i >= t.n then invalid_arg (Printf.sprintf "Runtime.device: no such GPU %d" i);
   t.devices.(i)

@@ -66,12 +66,6 @@ val lookahead : ctx -> Cpufree_engine.Time.t
 (** Conservative windowed-execution lookahead: {!Interconnect.lookahead} of
     the context's fabric. *)
 
-val lookahead_of : ctx -> int -> Cpufree_engine.Time.t
-(** Per-partition outbound lookahead for the adaptive windowed driver:
-    {!Interconnect.source_lookahead} of the partition's endpoint (partition
-    [0] is the host, partition [g + 1] is device [g]; out-of-range partitions
-    fall back to the host bound). *)
-
 val endpoint_of_buffer : Buffer.t -> Interconnect.endpoint
 
 val api : ctx -> ?lane:string -> label:string -> Cpufree_engine.Time.t -> unit

@@ -1,4 +1,4 @@
-type pdes = [ `Seq | `Windowed | `Adaptive | `Optimistic ]
+type pdes = [ `Seq | `Windowed ]
 
 let pdes_modes =
   [
@@ -6,16 +6,9 @@ let pdes_modes =
     ("sequential", `Seq);
     ("windowed", `Windowed);
     ("pdes", `Windowed);
-    ("adaptive", `Adaptive);
-    ("optimistic", `Optimistic);
-    ("timewarp", `Optimistic);
   ]
 
-let pdes_to_string = function
-  | `Seq -> "seq"
-  | `Windowed -> "windowed"
-  | `Adaptive -> "adaptive"
-  | `Optimistic -> "optimistic"
+let pdes_to_string = function `Seq -> "seq" | `Windowed -> "windowed"
 
 type t = {
   topology : Cpufree_machine.Topology.spec option;
@@ -138,4 +131,4 @@ let observed env = env.trace <> None || env.metrics <> None
 
 let quiet env = { env with trace = None; metrics = None }
 
-let probe ?(pdes = `Windowed) env = { (quiet env) with faults = None; pdes = Some pdes }
+let probe env = { (quiet env) with faults = None; pdes = Some `Windowed }

@@ -9,7 +9,10 @@
     no observability, HGX topology, execution mode from the [CPUFREE_PDES]
     environment variable. *)
 
-type pdes = [ `Seq | `Windowed | `Adaptive | `Optimistic ]
+type pdes = [ `Seq | `Windowed ]
+(** The sequential reference driver, or the conservative windowed driver
+    ({!Cpufree_engine.Engine.run_windowed}). Both produce bit-identical
+    results. *)
 
 type t = {
   topology : Cpufree_machine.Topology.spec option;
@@ -69,20 +72,16 @@ val digest : t -> string
     relies on. Versioned: changing the encoding changes every digest. *)
 
 val pdes_to_string : pdes -> string
-(** Canonical lowercase name: ["seq"], ["windowed"], ["adaptive"],
-    ["optimistic"]. *)
+(** Canonical lowercase name: ["seq"] or ["windowed"]. *)
 
 val pdes_of_string : string -> (pdes, string) result
 (** Parse a user-supplied mode name (CLI flags, env vars): [""], ["seq"],
-    ["sequential"] are [`Seq]; ["windowed"], ["pdes"] are [`Windowed];
-    ["adaptive"] is [`Adaptive]; ["optimistic"], ["timewarp"] are
-    [`Optimistic]. [Error] carries a friendly message listing every valid
-    mode. *)
+    ["sequential"] are [`Seq]; ["windowed"], ["pdes"] are [`Windowed].
+    [Error] carries a friendly message listing every valid mode. *)
 
 val pdes_of_env_var : unit -> pdes
 (** Parse [CPUFREE_PDES]: unset, [""], ["seq"], ["sequential"] are [`Seq];
-    ["windowed"], ["pdes"] are [`Windowed]; ["adaptive"] is [`Adaptive];
-    ["optimistic"], ["timewarp"] are [`Optimistic].
+    ["windowed"], ["pdes"] are [`Windowed].
     @raise Invalid_argument on anything else, with a message listing every
     valid mode. *)
 
@@ -98,10 +97,11 @@ val quiet : t -> t
     (verification, candidate probing) that must not pollute the main run's
     artifacts. *)
 
-val probe : ?pdes:pdes -> t -> t
+val probe : t -> t
 (** The candidate-evaluation environment derived from [env]: sinks and fault
-    plan removed and the PDES mode pinned (default [`Windowed], the cheap
-    conservative driver). Pinning makes a search that ranks simulated costs
-    independent of the ambient [CPUFREE_PDES] setting — every driver is
-    bit-identical on these models, so the pin costs nothing and guarantees
-    reproducible plan choices. *)
+    plan removed and the PDES mode pinned to [`Windowed]. Pinning makes a
+    search that ranks simulated costs independent of the ambient
+    [CPUFREE_PDES] setting; both drivers are bit-identical, so which one is
+    pinned does not change any cost. Nor does it change host time: the
+    candidate models are not isolated, so the windowed driver runs the
+    sequential loop on them. *)

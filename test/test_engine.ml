@@ -1,9 +1,8 @@
-(* Tests for the discrete-event core: time, heap, rng, stats, trace, engine,
+(* Tests for the discrete-event core: time, rng, stats, trace, engine,
    synchronization primitives. *)
 
 module E = Cpufree_engine
 module Time = E.Time
-module Heap = E.Heap
 module Rng = E.Rng
 module Stats = E.Stats
 module Trace = E.Trace
@@ -78,77 +77,6 @@ let time_props =
          (fun (a, b) ->
            let m = Time.max (Time.ns a) (Time.ns b) in
            Time.(Time.ns a <= m) && Time.(Time.ns b <= m)));
-  ]
-
-(* --- Heap -------------------------------------------------------------- *)
-
-let heap_tests =
-  [
-    Alcotest.test_case "empty pops nothing" `Quick (fun () ->
-        let h = Heap.create ~cmp:Int.compare in
-        check_bool "empty" true (Heap.is_empty h);
-        check_bool "pop" true (Heap.pop h = None);
-        check_bool "peek" true (Heap.peek h = None));
-    Alcotest.test_case "pops in sorted order" `Quick (fun () ->
-        let h = Heap.create ~cmp:Int.compare in
-        List.iter (Heap.push h) [ 5; 1; 4; 1; 3; 9; 0 ];
-        let rec drain acc =
-          match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc)
-        in
-        check (Alcotest.list Alcotest.int) "sorted" [ 0; 1; 1; 3; 4; 5; 9 ] (drain []));
-    Alcotest.test_case "peek does not remove" `Quick (fun () ->
-        let h = Heap.create ~cmp:Int.compare in
-        Heap.push h 2;
-        Heap.push h 1;
-        check_bool "peek" true (Heap.peek h = Some 1);
-        check_int "length" 2 (Heap.length h));
-    Alcotest.test_case "clear empties" `Quick (fun () ->
-        let h = Heap.create ~cmp:Int.compare in
-        List.iter (Heap.push h) [ 1; 2; 3 ];
-        Heap.clear h;
-        check_bool "empty" true (Heap.is_empty h));
-    Alcotest.test_case "to_list_unordered holds contents" `Quick (fun () ->
-        let h = Heap.create ~cmp:Int.compare in
-        List.iter (Heap.push h) [ 3; 1; 2 ];
-        check (Alcotest.list Alcotest.int) "contents" [ 1; 2; 3 ]
-          (List.sort Int.compare (Heap.to_list_unordered h)));
-  ]
-
-let heap_props =
-  [
-    QCheck_alcotest.to_alcotest
-      (QCheck.Test.make ~name:"heap sort equals list sort" ~count:100
-         QCheck.(list small_int)
-         (fun xs ->
-           let h = Heap.create ~cmp:Int.compare in
-           List.iter (Heap.push h) xs;
-           let rec drain acc =
-             match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc)
-           in
-           drain [] = List.sort Int.compare xs));
-    (* Interleaved pushes and pops against a sorted-list model: every pop
-       must yield the minimum of what has been pushed and not yet popped. *)
-    QCheck_alcotest.to_alcotest
-      (QCheck.Test.make ~name:"random push/pop ops match a sorted model" ~count:200
-         QCheck.(list_of_size Gen.(0 -- 60) (option small_int))
-         (fun ops ->
-           let h = Heap.create ~cmp:Int.compare in
-           let model = ref [] in
-           List.for_all
-             (fun op ->
-               match op with
-               | Some x ->
-                 Heap.push h x;
-                 model := List.sort Int.compare (x :: !model);
-                 Heap.length h = List.length !model
-               | None -> (
-                 match (Heap.pop h, !model) with
-                 | None, [] -> true
-                 | Some got, expected :: rest ->
-                   model := rest;
-                   got = expected
-                 | None, _ :: _ | Some _, [] -> false))
-             ops));
   ]
 
 (* --- Rng --------------------------------------------------------------- *)
@@ -862,8 +790,7 @@ let partition_tests =
         let outcome, win = run_ring_windowed ~jobs:2 ~parts:4 ~iters:6 ~seed:5 in
         (match outcome with
         | Engine.Windowed { windows; _ } -> check_bool "ran windows" true (windows > 0)
-        | Engine.Sequential r -> Alcotest.fail ("unexpected fallback: " ^ r)
-        | Engine.Adaptive _ | Engine.Optimistic _ -> Alcotest.fail "wrong driver");
+        | Engine.Sequential r -> Alcotest.fail ("unexpected fallback: " ^ r));
         check_bool "identical output" true (seq = win));
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"windowed equals sequential for any config and worker count"
@@ -880,7 +807,7 @@ let partition_tests =
         | Engine.Sequential reason ->
           check_bool "reason mentions lookahead" true
             (Astring.String.is_infix ~affix:"lookahead" reason)
-        | Engine.Windowed _ | Engine.Adaptive _ | Engine.Optimistic _ ->
+        | Engine.Windowed _ ->
           Alcotest.fail "expected sequential fallback");
         let seq_eng, seq_totals = build_ring ~parts:3 ~iters:4 ~seed:1 () in
         Engine.run seq_eng;
@@ -895,14 +822,14 @@ let partition_tests =
         | Engine.Sequential reason ->
           check_bool "reason mentions isolation" true
             (Astring.String.is_infix ~affix:"isolated" reason)
-        | Engine.Windowed _ | Engine.Adaptive _ | Engine.Optimistic _ ->
+        | Engine.Windowed _ ->
           Alcotest.fail "expected sequential fallback");
     Alcotest.test_case "single-partition engine falls back" `Quick (fun () ->
         let eng = Engine.create ~isolated:true () in
         let (_ : Engine.process) = Engine.spawn eng ~name:"p" (fun () -> ()) in
         match Engine.run_windowed ~lookahead eng with
         | Engine.Sequential _ -> ()
-        | Engine.Windowed _ | Engine.Adaptive _ | Engine.Optimistic _ ->
+        | Engine.Windowed _ ->
           Alcotest.fail "expected sequential fallback");
     Alcotest.test_case "cross-partition post inside the window raises" `Quick (fun () ->
         let eng = Engine.create ~partitions:3 ~isolated:true () in
@@ -965,14 +892,6 @@ let sleeper eng ?partition ~name ats log =
               go rest)
       in
       go ats)
-
-(* Partition 1 holds a registered state provider and one event that spawns
-   through [spawn_into]: enough for the optimistic driver to speculate. *)
-let spawn_during_optimistic spawn_into =
-  let eng = Engine.create ~partitions:3 ~isolated:true () in
-  Engine.register_state eng ~partition:1 (fun () () -> ());
-  Engine.post eng ~partition:1 ~at:(Time.ns 10) (fun () -> spawn_into eng);
-  Engine.run_optimistic ~jobs:1 ~lookahead eng
 
 let stackless_tests =
   [
@@ -1069,178 +988,12 @@ let stackless_tests =
         match Engine.run_windowed ~lookahead eng with
         | exception Engine.Lookahead_violation _ -> ()
         | _ -> Alcotest.fail "expected Lookahead_violation");
-    Alcotest.test_case "refused during an optimistic run, as spawn is" `Quick (fun () ->
-        let refused spawn_into =
-          match spawn_during_optimistic spawn_into with
-          | exception Invalid_argument msg ->
-            Astring.String.is_infix ~affix:"during an optimistic run" msg
-          | _ -> false
-        in
-        check_bool "spawn" true
-          (refused (fun eng -> ignore (Engine.spawn eng ~name:"f" ignore : Engine.process)));
-        check_bool "spawn_stackless" true
-          (refused (fun eng ->
-               ignore (Engine.spawn_stackless eng ~name:"s" ignore : Engine.process))));
-  ]
-
-(* --- Optimistic (Time Warp) execution ----------------------------------- *)
-
-(* Event-driven formulation of the ring: no processes, per-rank state in
-   plain arrays restored from checkpoints via [register_state] — the shape
-   the optimistic driver can actually speculate on. Rank [g] runs [iters]
-   irregular-cost steps; every [sync] iterations it posts a payload one
-   lookahead ahead to its successor and blocks (recorded in [pending]) until
-   its own inbound count catches up. [skew] adds extra per-step cost on rank
-   0, the load imbalance that makes other ranks speculate into its past and
-   forces rollbacks. *)
-let build_ev_ring ?(skew = 0) ~parts ~iters ~sync ~seed () =
-  let eng = Engine.create ~partitions:parts ~isolated:true () in
-  let ranks = parts - 1 in
-  let totals = Array.make ranks 0 in
-  let counts = Array.make ranks 0 in
-  let pending = Array.make ranks 0 in
-  let is_sync it = it mod sync = 0 || it = iters in
-  let sync_count it = (it / sync) + if it = iters && iters mod sync <> 0 then 1 else 0 in
-  let rec step g it t =
-    let d = 1 + ((seed + (g * 37) + (it * 11)) mod 97) + if g = 0 then skew else 0 in
-    let t1 = Time.add t (Time.ns d) in
-    Engine.post eng ~partition:(g + 1) ~at:t1 (fun () ->
-        let dst = (g + 1) mod ranks in
-        if dst <> g && is_sync it then begin
-          let payload = (g * 1000) + it in
-          Engine.post eng ~partition:(dst + 1) ~at:(Time.add t1 lookahead) (fun () ->
-              totals.(dst) <- totals.(dst) + payload;
-              counts.(dst) <- counts.(dst) + 1;
-              if pending.(dst) > 0 && counts.(dst) >= sync_count pending.(dst) then begin
-                let it' = pending.(dst) in
-                pending.(dst) <- 0;
-                next dst it' (Engine.now eng)
-              end);
-          if counts.(g) >= sync_count it then next g it t1 else pending.(g) <- it
-        end
-        else next g it t1)
-  and next g it t = if it < iters then step g (it + 1) t in
-  for g = 0 to ranks - 1 do
-    Engine.register_state eng ~partition:(g + 1) (fun () ->
-        let tot = totals.(g) and cnt = counts.(g) and pnd = pending.(g) in
-        fun () ->
-          totals.(g) <- tot;
-          counts.(g) <- cnt;
-          pending.(g) <- pnd);
-    if iters > 0 then step g 1 Time.zero
-  done;
-  (eng, totals)
-
-let ev_ring_output eng totals =
-  (Time.to_ns (Engine.now eng), Engine.events_executed eng, Array.to_list totals)
-
-let run_ev_ring_seq ?skew ~parts ~iters ~sync ~seed () =
-  let eng, totals = build_ev_ring ?skew ~parts ~iters ~sync ~seed () in
-  Engine.run eng;
-  ev_ring_output eng totals
-
-let optimistic_tests =
-  [
-    Alcotest.test_case "optimistic run matches sequential bit-for-bit" `Quick (fun () ->
-        let seq = run_ev_ring_seq ~parts:5 ~iters:24 ~sync:6 ~seed:3 () in
-        let eng, totals = build_ev_ring ~parts:5 ~iters:24 ~sync:6 ~seed:3 () in
-        (match Engine.run_optimistic ~jobs:2 ~lookahead eng with
-        | Engine.Optimistic { rounds; _ } -> check_bool "ran rounds" true (rounds > 0)
-        | Engine.Windowed _ | Engine.Adaptive _ -> Alcotest.fail "fell back conservatively"
-        | Engine.Sequential r -> Alcotest.fail ("unexpected fallback: " ^ r));
-        check_bool "identical output" true (seq = ev_ring_output eng totals));
-    Alcotest.test_case "skewed ring rolls back and still matches sequential" `Quick
-      (fun () ->
-        (* For a rollback the straggler's epoch must run past a fast rank's
-           halo-arrival time: 8 iterations of extra cost must outweigh the
-           fast epoch (~400 ns) plus one lookahead (1000 ns). *)
-        let skew = 250 in
-        let seq = run_ev_ring_seq ~skew ~parts:5 ~iters:40 ~sync:8 ~seed:7 () in
-        let eng, totals = build_ev_ring ~skew ~parts:5 ~iters:40 ~sync:8 ~seed:7 () in
-        (match Engine.run_optimistic ~jobs:2 ~lookahead eng with
-        | Engine.Optimistic { rounds; rollbacks; _ } ->
-          check_bool "ran rounds" true (rounds > 0);
-          check_bool "rolled back at least once" true (rollbacks > 0);
-          check_int "engine agrees on rollbacks" rollbacks (Engine.rollbacks eng)
-        | Engine.Windowed _ | Engine.Adaptive _ -> Alcotest.fail "fell back conservatively"
-        | Engine.Sequential r -> Alcotest.fail ("unexpected fallback: " ^ r));
-        check_bool "identical output" true (seq = ev_ring_output eng totals));
-    Alcotest.test_case "adaptive windows match sequential on the process ring" `Quick
-      (fun () ->
-        let seq = run_ring_seq ~parts:4 ~iters:6 ~seed:5 in
-        let eng, totals = build_ring ~trace:(Trace.create ()) ~parts:4 ~iters:6 ~seed:5 () in
-        (match Engine.run_adaptive ~jobs:2 ~lookahead eng with
-        | Engine.Adaptive { windows; _ } -> check_bool "ran windows" true (windows > 0)
-        | Engine.Windowed _ | Engine.Optimistic _ -> Alcotest.fail "wrong driver"
-        | Engine.Sequential r -> Alcotest.fail ("unexpected fallback: " ^ r));
-        check_bool "identical output" true (seq = ring_output eng totals));
-    Alcotest.test_case "process models fall back to the windowed driver" `Quick (fun () ->
-        let seq = run_ring_seq ~parts:4 ~iters:6 ~seed:9 in
-        let eng, totals = build_ring ~trace:(Trace.create ()) ~parts:4 ~iters:6 ~seed:9 () in
-        (match Engine.run_optimistic ~lookahead eng with
-        | Engine.Windowed { windows; _ } -> check_bool "ran windows" true (windows > 0)
-        | Engine.Optimistic _ -> Alcotest.fail "cannot checkpoint processes"
-        | Engine.Adaptive _ -> Alcotest.fail "wrong driver"
-        | Engine.Sequential r -> Alcotest.fail ("unexpected fallback: " ^ r));
-        check_bool "identical output" true (seq = ring_output eng totals));
-    Alcotest.test_case "no state providers means no speculation" `Quick (fun () ->
-        let eng = Engine.create ~partitions:3 ~isolated:true () in
-        let hits = ref 0 in
-        Engine.post eng ~partition:1 ~at:(Time.ns 10) (fun () -> incr hits);
-        Engine.post eng ~partition:2 ~at:(Time.ns 20) (fun () -> incr hits);
-        (match Engine.run_optimistic ~lookahead eng with
-        | Engine.Windowed _ | Engine.Sequential _ -> ()
-        | Engine.Optimistic _ -> Alcotest.fail "speculated without checkpoint support"
-        | Engine.Adaptive _ -> Alcotest.fail "wrong driver");
-        check_int "both events ran" 2 !hits);
-    QCheck_alcotest.to_alcotest
-      (QCheck.Test.make
-         ~name:"optimistic and adaptive equal sequential for any config and worker count"
-         ~count:30
-         QCheck.(
-           quad (int_range 2 5) (int_range 0 10) (int_range 1 4) small_int)
-         (fun (parts, iters, sync, seed) ->
-           let seq = run_ev_ring_seq ~parts ~iters ~sync ~seed () in
-           let opt jobs =
-             let eng, totals = build_ev_ring ~parts ~iters ~sync ~seed () in
-             let (_ : Engine.outcome) = Engine.run_optimistic ~jobs ~lookahead eng in
-             ev_ring_output eng totals
-           in
-           let adp =
-             let eng, totals = build_ev_ring ~parts ~iters ~sync ~seed () in
-             let (_ : Engine.outcome) = Engine.run_adaptive ~jobs:2 ~lookahead eng in
-             ev_ring_output eng totals
-           in
-           seq = opt 1 && seq = opt 3 && seq = adp));
-    QCheck_alcotest.to_alcotest
-      (QCheck.Test.make
-         ~name:"gvt is monotone non-decreasing and bounded by the final clock" ~count:30
-         QCheck.(
-           quad (int_range 2 5) (int_range 1 10) (int_range 1 4) small_int)
-         (fun (parts, iters, sync, seed) ->
-           let eng, _ = build_ev_ring ~skew:40 ~parts ~iters ~sync ~seed () in
-           let gvts = ref [] in
-           let (_ : Engine.outcome) =
-             Engine.run_optimistic ~jobs:2 ~on_gvt:(fun g -> gvts := g :: !gvts)
-               ~lookahead eng
-           in
-           let seen = List.rev !gvts in
-           let rec monotone = function
-             | a :: (b :: _ as rest) -> Time.compare a b <= 0 && monotone rest
-             | _ -> true
-           in
-           let final = Engine.now eng in
-           seen <> []
-           && monotone seen
-           && List.for_all (fun g -> Time.compare g final <= 0) seen
-           && Time.equal (Engine.last_gvt eng) (List.nth seen (List.length seen - 1))));
   ]
 
 let () =
   Alcotest.run "engine"
     [
       ("time", time_tests @ time_props);
-      ("heap", heap_tests @ heap_props);
       ("rng", rng_tests @ rng_props);
       ("stats", stats_tests @ stats_props);
       ("intervals", interval_tests @ interval_props);
@@ -1249,5 +1002,4 @@ let () =
       ("sync", sync_tests);
       ("partitions", partition_tests);
       ("stackless", stackless_tests);
-      ("optimistic", optimistic_tests);
     ]

@@ -297,7 +297,7 @@ let fault_pool =
           | Error e -> failwith ("fault pool: " ^ e))
         [ "drop=0.3"; "delay=0.1@2000;straggler=1x1.5"; "kill=2@500;retry=50x6;backoff=2" ])
 
-let pdes_pool = [| None; Some `Seq; Some `Windowed; Some `Adaptive; Some `Optimistic |]
+let pdes_pool = [| None; Some `Seq; Some `Windowed |]
 
 let arbitrary_env =
   QCheck.(

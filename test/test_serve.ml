@@ -105,7 +105,7 @@ let test_digest_pdes_invariant () =
   let d = digest None in
   List.iter
     (fun p -> Alcotest.(check string) "pdes never reaches the cache key" d (digest (Some p)))
-    [ `Seq; `Windowed; `Adaptive; `Optimistic ];
+    [ `Seq; `Windowed ];
   if Scenario.digest base = Scenario.digest (sc ~iters:7 ()) then
     Alcotest.fail "distinct scenarios share a digest";
   if Scenario.digest base = Scenario.digest (sc ~trace:true ()) then
@@ -321,6 +321,22 @@ let test_malformed () =
   | P.Ok_resp { body = P.Stats_result st; _ } ->
     Alcotest.(check int) "both bad frames counted" 2 st.P.errors
   | _ -> Alcotest.fail "daemon died after malformed input");
+  (* A removed driver name is refused with the valid modes listed. *)
+  let run_json =
+    J.to_string ~indent:0 (P.request_to_json { P.req_id = 43; req_op = P.Run (sc ()) })
+  in
+  let pdes_null = "\"pdes\":null" in
+  let at = Option.get (Astring.String.find_sub ~sub:pdes_null run_json) in
+  P.write_frame fd
+    (String.sub run_json 0 at ^ "\"pdes\":\"timewarp\""
+    ^ String.sub run_json (at + String.length pdes_null)
+        (String.length run_json - at - String.length pdes_null));
+  (match recv_response () with
+  | P.Error_resp { id = 43; message } ->
+    Alcotest.(check bool) "valid modes listed" true
+      (Astring.String.is_infix
+         ~affix:"valid modes are \"seq\", \"sequential\", \"windowed\", \"pdes\"" message)
+  | _ -> Alcotest.fail "a timewarp scenario was not refused");
   (try Unix.close fd with Unix.Unix_error _ -> ());
   (* A framing violation (not even a length header) costs that connection
      only. *)
