@@ -1,16 +1,19 @@
-(* Why a process is blocked: the reason, rendered only when a report asks
-   for it, the group it waits on (a wait-for edge, when the caller knows
-   who must resolve the wait), when it blocked, and whether the wake is
-   already scheduled (a delay or a deadline — exempt from the stall
-   watchdog, which hunts waits that nothing pending can resolve). *)
-type waitinfo = { why : unit -> string; on_group : string option; since : Time.t; timed : bool }
-
-type state = Ready | Running | Blocked of waitinfo | Finished
+(* A parked process waits since its [since]: [Delayed] on a wake already
+   queued ([delay], [sleep_until]; exempt from the stall watchdog, which
+   hunts waits that nothing pending can resolve), or [Suspended] on a
+   waker ([suspend]). A suspension keeps its reason in [why], rendered only
+   when a report asks, and in [on_group] the group it waits on (a wait-for
+   edge, when the caller knows who must resolve the wait). Immediate
+   constructors, so parking allocates no wait record. *)
+type state = Ready | Running | Delayed | Suspended | Finished
 
 (* A process is either a fiber (its body runs under the effect handler and
    blocks with [delay]/[suspend]) or stackless (its body is a chain of
    timed callbacks linked by [sleep_until]). Both carry the same record:
-   pid, partition, state, registry entry and a name built on demand. *)
+   pid, partition, state, registry slot and a name built on demand. A
+   parked process resumes through [resume], a thunk built once at spawn
+   that continues [cont] (a fiber) or runs [next] (a stackless process), so
+   a delay, a sleep or a wake pushes an event without allocating one. *)
 type process = {
   pid : int;
   pname : unit -> string;
@@ -19,63 +22,110 @@ type process = {
   group : string option;
   stackless : bool;
   mutable state : state;
+  mutable since : Time.t; (* start of the current wait *)
+  mutable why : unit -> string; (* reason of the current suspension *)
+  mutable on_group : string option; (* wait-for edge of the current suspension *)
+  mutable wakes : int; (* suspensions woken so far: a waker acts only once *)
+  mutable slot : int; (* index in the partition's registry *)
+  mutable cont : (unit, unit) Effect.Deep.continuation; (* a fiber's parked stack *)
+  mutable next : unit -> unit; (* a stackless process's next step *)
+  mutable resume : unit -> unit;
 }
-
-type event = { at : Time.t; seq : int; part : int; thunk : unit -> unit }
 
 (* Cross-partition message, buffered in the sender's outbox during a window
    and applied at the barrier in canonical (time, sender, index) order. *)
 type msg = { m_at : Time.t; m_src : int; m_idx : int; m_dst : int; m_thunk : unit -> unit }
 
-(* The event queue: an array-backed binary min-heap specialised to the
-   engine's (at, seq, part) order, so the sifts compare three ints inline
-   instead of calling a comparison closure. The order is total (no two
-   events share a triple), so the pop order is the same as any other heap's.
-   Vacated slots are reset to [dummy] so popped thunks can be collected. *)
 module Evq = struct
-  type t = { mutable data : event array; mutable size : int }
+  (* A binary min-heap over flat columns: position [i] holds the key
+     (times.(i), seqs.(i), parts.(i)) and the index slots.(i) of its thunk
+     in [thunks]. Sifts move ints only, so they neither chase pointers nor
+     hit the write barrier; a thunk is written once on push and cleared
+     once on pop. [slots] is a permutation of the thunk indices: positions
+     [0, size) hold the live ones in heap order, positions [size, cap) the
+     free ones, so a push takes the free slot at [size] and a pop parks
+     the one it frees there. *)
+  type t = {
+    mutable size : int;
+    mutable times : Time.t array;
+    mutable seqs : int array;
+    mutable parts : int array;
+    mutable slots : int array;
+    mutable thunks : (unit -> unit) array;
+  }
 
-  let dummy = { at = Time.zero; seq = 0; part = 0; thunk = ignore }
-  let create () = { data = [||]; size = 0 }
+  let create () = { size = 0; times = [||]; seqs = [||]; parts = [||]; slots = [||]; thunks = [||] }
   let is_empty q = q.size = 0
 
-  let before a b =
-    let ta = (a.at :> int) and tb = (b.at :> int) in
-    ta < tb || (ta = tb && (a.seq < b.seq || (a.seq = b.seq && a.part < b.part)))
+  let[@inline] before (t : int) (s : int) (p : int) (t' : int) (s' : int) (p' : int) =
+    t < t' || (t = t' && (s < s' || (s = s' && p < p')))
 
-  let push q x =
-    let cap = Array.length q.data in
-    if q.size = cap then begin
-      let ndata = Array.make (Stdlib.max 8 (2 * cap)) dummy in
-      Array.blit q.data 0 ndata 0 q.size;
-      q.data <- ndata
-    end;
-    let data = q.data in
+  (* Does position [i]'s key order before position [j]'s? *)
+  let[@inline] before_at (times : Time.t array) (seqs : int array) (parts : int array) i j =
+    before
+      (Array.unsafe_get times i :> int)
+      (Array.unsafe_get seqs i) (Array.unsafe_get parts i)
+      (Array.unsafe_get times j :> int)
+      (Array.unsafe_get seqs j) (Array.unsafe_get parts j)
+
+  let[@inline] move (times : Time.t array) (seqs : int array) (parts : int array)
+      (slots : int array) ~src ~dst =
+    Array.unsafe_set times dst (Array.unsafe_get times src);
+    Array.unsafe_set seqs dst (Array.unsafe_get seqs src);
+    Array.unsafe_set parts dst (Array.unsafe_get parts src);
+    Array.unsafe_set slots dst (Array.unsafe_get slots src)
+
+  let grow q =
+    let cap = Array.length q.times in
+    let ncap = Stdlib.max 8 (2 * cap) in
+    let extend a fill =
+      let b = Array.make ncap fill in
+      Array.blit a 0 b 0 cap;
+      b
+    in
+    q.times <- extend q.times Time.zero;
+    q.seqs <- extend q.seqs 0;
+    q.parts <- extend q.parts 0;
+    q.slots <- Array.init ncap (fun i -> if i < cap then q.slots.(i) else i);
+    q.thunks <- extend q.thunks ignore
+
+  let push q ~(at : Time.t) ~seq ~part thunk =
+    if q.size = Array.length q.times then grow q;
+    let times = q.times and seqs = q.seqs and parts = q.parts and slots = q.slots in
+    let slot = Array.unsafe_get slots q.size in
+    Array.unsafe_set q.thunks slot thunk;
     let i = ref q.size in
     q.size <- q.size + 1;
     while
       !i > 0
       &&
-      let parent = (!i - 1) / 2 in
-      before x (Array.unsafe_get data parent)
+      let up = (!i - 1) / 2 in
+      before (at :> int) seq part
+        (Array.unsafe_get times up :> int)
+        (Array.unsafe_get seqs up) (Array.unsafe_get parts up)
     do
-      let parent = (!i - 1) / 2 in
-      Array.unsafe_set data !i (Array.unsafe_get data parent);
-      i := parent
+      let up = (!i - 1) / 2 in
+      move times seqs parts slots ~src:up ~dst:!i;
+      i := up
     done;
-    Array.unsafe_set data !i x
+    Array.unsafe_set times !i at;
+    Array.unsafe_set seqs !i seq;
+    Array.unsafe_set parts !i part;
+    Array.unsafe_set slots !i slot
 
-  (* The smallest event; the queue must not be empty. *)
-  let top q = q.data.(0)
+  (* Key of the smallest event; the queue must not be empty. *)
+  let top_time q = q.times.(0)
+  let top_part q = q.parts.(0)
 
-  (* Remove and return the smallest event; the queue must not be empty. *)
+  (* Remove the smallest event and return its thunk. *)
   let pop q =
-    let data = q.data in
-    let top = data.(0) in
+    if q.size = 0 then invalid_arg "Engine.Evq.pop: empty queue";
+    let times = q.times and seqs = q.seqs and parts = q.parts and slots = q.slots in
+    let top = slots.(0) in
+    let thunk = Array.unsafe_get q.thunks top in
+    Array.unsafe_set q.thunks top ignore;
     let n = q.size - 1 in
     q.size <- n;
-    let x = Array.unsafe_get data n in
-    Array.unsafe_set data n dummy;
     if n > 0 then begin
       let i = ref 0 in
       let moving = ref true in
@@ -84,30 +134,38 @@ module Evq = struct
         if l >= n then moving := false
         else begin
           let r = l + 1 in
-          let c =
-            if r < n && before (Array.unsafe_get data r) (Array.unsafe_get data l) then r else l
-          in
-          let dc = Array.unsafe_get data c in
-          if before dc x then begin
-            Array.unsafe_set data !i dc;
+          let c = if r < n && before_at times seqs parts r l then r else l in
+          if before_at times seqs parts c n then begin
+            move times seqs parts slots ~src:c ~dst:!i;
             i := c
           end
           else moving := false
         end
       done;
-      Array.unsafe_set data !i x
+      move times seqs parts slots ~src:n ~dst:!i
     end;
-    top
+    Array.unsafe_set slots n top;
+    thunk
+
+  (* Move every event into the queue [into] picks for its partition, keys
+     unchanged, leaving [q] empty. *)
+  let move_all q ~into =
+    for i = 0 to q.size - 1 do
+      let slot = q.slots.(i) and part = q.parts.(i) in
+      push (into part) ~at:q.times.(i) ~seq:q.seqs.(i) ~part q.thunks.(slot);
+      q.thunks.(slot) <- ignore
+    done;
+    q.size <- 0
 end
 
 type partition = {
-  id : int;
-  queue : Evq.t;
+  queue : Evq.t; (* this partition's events during a windowed run *)
   mutable pclock : Time.t; (* partition-local clock (windowed mode) *)
   mutable pseq : int; (* partition-local tie-break counter (windowed mode) *)
-  mutable pexec : int; (* events executed in this partition *)
+  mutable pexec : int; (* events executed in this partition (windowed mode) *)
   mutable plive : int; (* non-daemon, unfinished processes *)
-  procs : (int, process) Hashtbl.t; (* live processes only; finished drop out *)
+  mutable procs : process array; (* live processes in [0, nprocs); finished drop out *)
+  mutable nprocs : int;
   mutable outbox : msg list; (* reversed send order, windowed mode only *)
   mutable out_idx : int;
   mutable ptrace : Trace.t option; (* partition-local sink (windowed mode) *)
@@ -121,6 +179,9 @@ type phase = Idle | Seq | Win
 type t = {
   mutable clock : Time.t;
   mutable seq : int; (* global tie-break counter (Idle and Seq phases) *)
+  queue : Evq.t; (* every pending event outside a windowed run *)
+  mutable cur : int; (* partition of the executing event (Idle and Seq phases) *)
+  mutable executed : int; (* events executed outside windowed runs *)
   parts : partition array;
   isolated : bool;
   next_pid : int Atomic.t;
@@ -148,16 +209,39 @@ exception Stall of stall_report
 type _ Effect.t +=
   | Delay : t * Time.t -> unit Effect.t
   | Suspend : t * (unit -> string) * string option * ((unit -> unit) -> unit) -> unit Effect.t
+  | Spend : unit Effect.t
 
-let make_partition id =
+(* A continuation that has already been resumed: what a process's [cont]
+   holds until its fiber first parks. Continuing it raises
+   [Continuation_already_resumed], so a stray resume cannot pass unseen. *)
+let spent : (unit, unit) Effect.Deep.continuation =
+  let open Effect.Deep in
+  let got : (unit, unit) continuation option ref = ref None in
+  match_with Effect.perform Spend
+    {
+      retc = Fun.id;
+      exnc = raise;
+      effc =
+        (fun (type a) (eff : a Effect.t) ->
+          match eff with
+          | Spend ->
+            Some
+              (fun (k : (a, unit) continuation) ->
+                got := Some k;
+                continue k ())
+          | _ -> None);
+    };
+  Option.get !got
+
+let make_partition _ =
   {
-    id;
     queue = Evq.create ();
     pclock = Time.zero;
     pseq = 0;
     pexec = 0;
     plive = 0;
-    procs = Hashtbl.create 32;
+    procs = [||];
+    nprocs = 0;
     outbox = [];
     out_idx = 0;
     ptrace = None;
@@ -173,6 +257,9 @@ let create ?trace ?(partitions = 1) ?(isolated = false) ?watchdog () =
   {
     clock = Time.zero;
     seq = 0;
+    queue = Evq.create ();
+    cur = 0;
+    executed = 0;
     parts = Array.init partitions make_partition;
     isolated;
     next_pid = Atomic.make 0;
@@ -187,17 +274,12 @@ let create ?trace ?(partitions = 1) ?(isolated = false) ?watchdog () =
 
 let num_partitions t = Array.length t.parts
 
-(* The partition whose events the calling domain is currently executing.
+(* The partition whose events the calling domain executes inside a window.
    Per-domain state because windowed execution runs partitions on worker
-   domains; outside any run (and on single-partition engines) it is 0. *)
+   domains; outside windows the engine's [cur] field says it. *)
 let dls_part : int Domain.DLS.key = Domain.DLS.new_key (fun () -> 0)
 
-let cur_part t =
-  match t.phase with
-  | Idle -> 0
-  | Seq -> if Array.length t.parts = 1 then 0 else Domain.DLS.get dls_part
-  | Win -> Domain.DLS.get dls_part
-
+let cur_part t = match t.phase with Win -> Domain.DLS.get dls_part | Idle | Seq -> t.cur
 let current_partition = cur_part
 
 let now t =
@@ -210,26 +292,25 @@ let trace t =
   | Win -> t.parts.(Domain.DLS.get dls_part).ptrace
   | Idle | Seq -> t.trace_sink
 
-(* Push into a specific partition's queue. The tie-break counter is global
-   outside windowed execution — so a partitioned engine driven by [run]
-   executes in exactly the order an unpartitioned engine would — and
-   partition-local inside a window, where partitions must not share mutable
-   counters. *)
-let push_into t p at thunk =
-  let seq =
-    match t.phase with
-    | Win ->
-      p.pseq <- p.pseq + 1;
-      p.pseq
-    | Idle | Seq ->
-      t.seq <- t.seq + 1;
-      t.seq
-  in
-  Evq.push p.queue { at; seq; part = p.id; thunk }
+(* Queue an event for partition [part]. Outside windowed execution every
+   event goes into the engine-wide queue with the global tie-break counter
+   — so a partitioned engine driven by [run] executes in exactly the order
+   an unpartitioned engine would. Inside a window it goes into the
+   partition's own queue with a partition-local counter, as partitions must
+   not share mutable state. *)
+let push_into t part at thunk =
+  match t.phase with
+  | Win ->
+    let p = t.parts.(part) in
+    p.pseq <- p.pseq + 1;
+    Evq.push p.queue ~at ~seq:p.pseq ~part thunk
+  | Idle | Seq ->
+    t.seq <- t.seq + 1;
+    Evq.push t.queue ~at ~seq:t.seq ~part thunk
 
 let schedule_at t at thunk =
   if Time.(at < now t) then invalid_arg "Engine.schedule_at: time in the past";
-  push_into t t.parts.(cur_part t) at thunk
+  push_into t (cur_part t) at thunk
 
 let check_partition t p fn =
   if p < 0 || p >= Array.length t.parts then
@@ -241,9 +322,8 @@ let post t ~partition ~at thunk =
   | Win ->
     let src = Domain.DLS.get dls_part in
     if partition = src then begin
-      let p = t.parts.(src) in
-      if Time.(at < p.pclock) then invalid_arg "Engine.post: time in the past";
-      push_into t p at thunk
+      if Time.(at < t.parts.(src).pclock) then invalid_arg "Engine.post: time in the past";
+      push_into t src at thunk
     end
     else if Time.(at < t.wend) then
       raise
@@ -260,73 +340,99 @@ let post t ~partition ~at thunk =
     end
   | Idle | Seq ->
     if Time.(at < t.clock) then invalid_arg "Engine.post: time in the past";
-    push_into t t.parts.(partition) at thunk
+    push_into t partition at thunk
 
 let delay_reason () = "delay"
 
 (* Clock of the partition a process belongs to: partition-local inside a
    windowed run, global otherwise. *)
-let part_clock t p = match t.phase with Win -> p.pclock | Idle | Seq -> t.clock
+let proc_clock t proc =
+  match t.phase with Win -> t.parts.(proc.part).pclock | Idle | Seq -> t.clock
+
+(* The registry: each partition keeps its live processes packed in
+   [procs.(0 .. nprocs-1)], each knowing its slot, so enrolling and
+   dropping one is O(1) and the array never outgrows the peak live count. *)
+let enroll p proc =
+  let n = p.nprocs in
+  if n = Array.length p.procs then begin
+    let grown = Array.make (Stdlib.max 16 (2 * n)) proc in
+    Array.blit p.procs 0 grown 0 n;
+    p.procs <- grown
+  end;
+  p.procs.(n) <- proc;
+  proc.slot <- n;
+  p.nprocs <- n + 1
+
+let unenroll p proc =
+  let n = p.nprocs - 1 in
+  let last = p.procs.(n) in
+  p.procs.(proc.slot) <- last;
+  last.slot <- proc.slot;
+  p.nprocs <- n
 
 let finish_process t proc =
   proc.state <- Finished;
+  proc.next <- ignore;
   let p = t.parts.(proc.part) in
   if not proc.daemon then p.plive <- p.plive - 1;
   (* Drop the record so long sweeps don't retain one per spawned kernel;
      [blocked_descriptions] only ever reports live processes. *)
-  Hashtbl.remove p.procs proc.pid
+  unenroll p proc
+
+(* Park the running process until [at]: its [resume] is the event. *)
+let sleep_proc t proc ~base at =
+  proc.state <- Delayed;
+  proc.since <- base;
+  push_into t proc.part at proc.resume
 
 let exec_process t proc body =
   let open Effect.Deep in
+  (* Built once per process: a delay queues [proc.resume] in [effc] and
+     parks the continuation here, allocating nothing else. *)
+  let park = Some (fun (k : (unit, unit) continuation) -> proc.cont <- k) in
+  (* A suspension's waker is live until the first call: [wakes] counts
+     the calls that resumed the process. *)
+  let wake ticket () =
+    if proc.wakes = ticket then begin
+      proc.wakes <- ticket + 1;
+      (match t.phase with
+      | Win ->
+        if Domain.DLS.get dls_part <> proc.part then
+          raise
+            (Lookahead_violation
+               (Printf.sprintf
+                  "partition %d woke process %s(#%d) of partition %d inside a window; \
+                   cross-partition signalling must go through Engine.post"
+                  (Domain.DLS.get dls_part) (proc.pname ()) proc.pid proc.part))
+      | Idle | Seq -> ());
+      push_into t proc.part (proc_clock t proc) proc.resume
+    end
+  in
   match_with body ()
     {
       retc = (fun () -> finish_process t proc);
       exnc = (fun e -> finish_process t proc; raise e);
       effc =
-        (fun (type a) (eff : a Effect.t) ->
+        (fun (type a) (eff : a Effect.t) : ((a, unit) continuation -> unit) option ->
           match eff with
           | Delay (eng, d) when eng == t ->
-            Some
-              (fun (k : (a, unit) continuation) ->
-                let p = t.parts.(proc.part) in
-                let base = part_clock t p in
-                proc.state <-
-                  Blocked { why = delay_reason; on_group = None; since = base; timed = true };
-                push_into t p (Time.add base d) (fun () ->
-                    proc.state <- Running;
-                    continue k ()))
+            let base = proc_clock t proc in
+            sleep_proc t proc ~base (Time.add base d);
+            park
           | Suspend (eng, reason, waits_on, register) when eng == t ->
-            Some
-              (fun (k : (a, unit) continuation) ->
-                let since = part_clock t t.parts.(proc.part) in
-                proc.state <- Blocked { why = reason; on_group = waits_on; since; timed = false };
-                let woken = ref false in
-                register (fun () ->
-                    if not !woken then begin
-                      woken := true;
-                      let p = t.parts.(proc.part) in
-                      (match t.phase with
-                      | Win ->
-                        if Domain.DLS.get dls_part <> proc.part then
-                          raise
-                            (Lookahead_violation
-                               (Printf.sprintf
-                                  "partition %d woke process %s(#%d) of partition %d inside \
-                                   a window; cross-partition signalling must go through \
-                                   Engine.post"
-                                  (Domain.DLS.get dls_part) (proc.pname ()) proc.pid proc.part))
-                      | Idle | Seq -> ());
-                      push_into t p (part_clock t p) (fun () ->
-                          proc.state <- Running;
-                          continue k ())
-                    end))
+            proc.state <- Suspended;
+            proc.since <- proc_clock t proc;
+            proc.why <- reason;
+            proc.on_group <- waits_on;
+            register (wake proc.wakes);
+            park
           | _ -> None);
     }
 
-(* Register a new process and schedule [start] as its first event at the
-   current time: the pid, partition checks, live count and registry entry
-   every kind of process shares. *)
-let register t ~fn ~name ~daemon ~partition ~group ~stackless start =
+(* Register a new process (pid, partition checks, live count, registry
+   slot) and queue [start] as its first event at the current time.
+   [resume] builds the process's resume thunk from its record. *)
+let register t ~fn ~name ~daemon ~partition ~group ~stackless ~resume start =
   let np = Array.length t.parts in
   let part =
     match partition with
@@ -351,13 +457,30 @@ let register t ~fn ~name ~daemon ~partition ~group ~stackless start =
               (name ()) part (Domain.DLS.get dls_part)))
   | Idle | Seq -> ());
   let pid = Atomic.fetch_and_add t.next_pid 1 + 1 in
-  let proc = { pid; pname = name; daemon; part; group; stackless; state = Ready } in
+  let proc =
+    {
+      pid;
+      pname = name;
+      daemon;
+      part;
+      group;
+      stackless;
+      state = Ready;
+      since = Time.zero;
+      why = delay_reason;
+      on_group = None;
+      wakes = 0;
+      slot = 0;
+      cont = spent;
+      next = ignore;
+      resume = ignore;
+    }
+  in
+  proc.resume <- resume proc;
   let p = t.parts.(part) in
   if not daemon then p.plive <- p.plive + 1;
-  Hashtbl.replace p.procs pid proc;
-  push_into t p (part_clock t p) (fun () ->
-      proc.state <- Running;
-      start proc);
+  enroll p proc;
+  push_into t part (proc_clock t proc) (start proc);
   proc
 
 let name_of name lazy_name =
@@ -368,36 +491,43 @@ let name_of name lazy_name =
 
 let spawn t ?name ?lazy_name ?(daemon = false) ?partition ?group body =
   register t ~fn:"spawn" ~name:(name_of name lazy_name) ~daemon ~partition ~group
-    ~stackless:false (fun proc -> exec_process t proc body)
+    ~stackless:false
+    ~resume:(fun proc () ->
+      proc.state <- Running;
+      Effect.Deep.continue proc.cont ())
+    (fun proc () ->
+      proc.state <- Running;
+      exec_process t proc body)
 
-(* One step of a stackless process: run the callback; if it did not chain
-   another step with [sleep_until], the process is done. *)
-let run_step t proc k =
-  (match k () with
+(* One step of a stackless process: run the step [sleep_until] chained; if
+   it did not chain another, the process is done. *)
+let run_step t proc () =
+  proc.state <- Running;
+  (match proc.next () with
   | () -> ()
   | exception e ->
     finish_process t proc;
     raise e);
   match proc.state with
   | Running -> finish_process t proc
-  | Blocked _ | Ready | Finished -> ()
+  | Delayed | Suspended | Ready | Finished -> ()
 
 let spawn_stackless t ?name ?lazy_name ?partition body =
   register t ~fn:"spawn_stackless" ~name:(name_of name lazy_name) ~daemon:false ~partition
-    ~group:None ~stackless:true (fun proc -> run_step t proc (fun () -> body proc))
+    ~group:None ~stackless:true ~resume:(run_step t) (fun proc ->
+      proc.next <- (fun () -> body proc);
+      proc.resume)
 
 let sleep_until t proc at k =
   if not proc.stackless then invalid_arg "Engine.sleep_until: not a stackless process";
   (match proc.state with
   | Running -> ()
-  | Ready | Blocked _ | Finished -> invalid_arg "Engine.sleep_until: process is not running");
-  let p = t.parts.(proc.part) in
-  let base = part_clock t p in
+  | Ready | Delayed | Suspended | Finished ->
+    invalid_arg "Engine.sleep_until: process is not running");
+  let base = proc_clock t proc in
   if Time.(at < base) then invalid_arg "Engine.sleep_until: time in the past";
-  proc.state <- Blocked { why = delay_reason; on_group = None; since = base; timed = true };
-  push_into t p at (fun () ->
-      proc.state <- Running;
-      run_step t proc k)
+  proc.next <- k;
+  sleep_proc t proc ~base at
 
 let process_name p = p.pname ()
 let process_done p = p.state = Finished
@@ -412,39 +542,42 @@ let suspend t ~reason ?waits_on register =
 let process_group p = p.group
 
 let live_processes t = Array.fold_left (fun acc p -> acc + p.plive) 0 t.parts
-let events_executed t = Array.fold_left (fun acc p -> acc + p.pexec) 0 t.parts
+let events_executed t = Array.fold_left (fun acc p -> acc + p.pexec) t.executed t.parts
 let windows_executed t = t.windows_total
 let stall_scans t = t.stall_scan_count
+let registered_processes t = Array.fold_left (fun acc p -> acc + p.nprocs) 0 t.parts
 
-let registered_processes t =
-  Array.fold_left (fun acc p -> acc + Hashtbl.length p.procs) 0 t.parts
-
+(* Parked non-daemon processes, sorted by pid. *)
 let blocked_procs t =
   let acc = ref [] in
   Array.iter
     (fun p ->
-      Hashtbl.iter
-        (fun _ proc ->
-          match proc.state with
-          | Blocked w when not proc.daemon -> acc := (proc, w) :: !acc
-          | Blocked _ | Ready | Running | Finished -> ())
-        p.procs)
+      for i = 0 to p.nprocs - 1 do
+        let proc = p.procs.(i) in
+        match proc.state with
+        | (Delayed | Suspended) when not proc.daemon -> acc := proc :: !acc
+        | Delayed | Suspended | Ready | Running | Finished -> ()
+      done)
     t.parts;
-  List.sort (fun (a, _) (b, _) -> Int.compare a.pid b.pid) !acc
+  List.sort (fun a b -> Int.compare a.pid b.pid) !acc
+
+(* The wait-for edge of a parked process: only a suspension declares one. *)
+let waits_on proc = match proc.state with Suspended -> proc.on_group | _ -> None
 
 let blocked_descriptions t =
   blocked_procs t
-  |> List.map (fun (proc, w) ->
+  |> List.map (fun proc ->
          let where =
            match proc.group with
            | Some g -> Printf.sprintf " [p%d %s]" proc.part g
            | None -> Printf.sprintf " [p%d]" proc.part
          in
          let edge =
-           match w.on_group with Some g -> Printf.sprintf " <- waits on %s" g | None -> ""
+           match waits_on proc with Some g -> Printf.sprintf " <- waits on %s" g | None -> ""
          in
-         Printf.sprintf "%s(#%d)%s: %s (since %s)%s" (proc.pname ()) proc.pid where (w.why ())
-           (Time.to_string w.since) edge)
+         let why = match proc.state with Suspended -> proc.why () | _ -> delay_reason () in
+         Printf.sprintf "%s(#%d)%s: %s (since %s)%s" (proc.pname ()) proc.pid where why
+           (Time.to_string proc.since) edge)
 
 (* Wait-for cycle over process groups: an edge [g -> h] for every blocked
    process of group [g] waiting on group [h]. Deterministic: nodes are
@@ -452,8 +585,8 @@ let blocked_descriptions t =
 let wait_cycle t =
   let edges =
     blocked_procs t
-    |> List.filter_map (fun (proc, w) ->
-           match (proc.group, w.on_group) with
+    |> List.filter_map (fun proc ->
+           match (proc.group, waits_on proc) with
            | Some g, Some h -> Some (g, h)
            | _ -> None)
     |> List.sort_uniq compare
@@ -518,12 +651,11 @@ let stall_lines r =
    and not waiting on an already-scheduled wake (a delay or deadline). *)
 let oldest_untimed_blocked t =
   List.fold_left
-    (fun acc (proc, w) ->
-      if proc.daemon || w.timed then acc
-      else
-        match acc with
-        | Some since when Time.(since <= w.since) -> acc
-        | Some _ | None -> Some w.since)
+    (fun acc proc ->
+      match (proc.state, acc) with
+      | Suspended, Some since when Time.(since <= proc.since) -> acc
+      | Suspended, (Some _ | None) -> Some proc.since
+      | _ -> acc)
     None (blocked_procs t)
 
 let watchdog_fire t w =
@@ -547,50 +679,34 @@ let watchdog_check t now_ =
     | None -> t.watch_next <- Time.add now_ w)
   | Some _ | None -> ()
 
-(* Index of the partition whose queue head is the smallest (at, seq, part)
-   event across all partitions; -1 when every queue is empty. *)
-let next_part t =
-  let parts = t.parts in
-  if Array.length parts = 1 then if Evq.is_empty parts.(0).queue then -1 else 0
-  else begin
-    let best = ref (-1) in
-    for i = 0 to Array.length parts - 1 do
-      let q = parts.(i).queue in
-      if
-        (not (Evq.is_empty q))
-        && (!best < 0 || Evq.before (Evq.top q) (Evq.top parts.(!best).queue))
-      then best := i
-    done;
-    !best
-  end
-
 let run ?until t =
   if t.phase <> Idle then invalid_arg "Engine.run: engine is already running";
   t.phase <- Seq;
-  let multi = Array.length t.parts > 1 in
-  if multi then Domain.DLS.set dls_part 0;
-  let finish () = t.phase <- Idle in
+  let finish () =
+    t.phase <- Idle;
+    t.cur <- 0
+  in
   (match t.watchdog with
   | Some w -> t.watch_next <- Time.add t.clock w
   | None -> ());
+  let q = t.queue in
   let rec loop () =
-    let i = next_part t in
-    if i < 0 then begin
+    if Evq.is_empty q then begin
       if live_processes t > 0 then raise (Deadlock (deadlock_report t))
     end
     else begin
-      let p = t.parts.(i) in
+      let at = Evq.top_time q in
       match until with
-      | Some limit when Time.((Evq.top p.queue).at > limit) ->
+      | Some limit when Time.(at > limit) ->
         (* Leave the event queued so a later [run] can resume seamlessly. *)
         t.clock <- limit
       | Some _ | None ->
-        let ev = Evq.pop p.queue in
-        t.clock <- ev.at;
-        watchdog_check t ev.at;
-        if multi then Domain.DLS.set dls_part i;
-        p.pexec <- p.pexec + 1;
-        ev.thunk ();
+        t.cur <- Evq.top_part q;
+        let thunk = Evq.pop q in
+        t.clock <- at;
+        watchdog_check t at;
+        t.executed <- t.executed + 1;
+        thunk ();
         loop ()
     end
   in
@@ -614,9 +730,11 @@ let clamp_jobs jobs np =
   | Some j -> Stdlib.max 1 (Stdlib.min j np)
   | None -> Stdlib.max 1 (Stdlib.min (default_jobs ()) np)
 
-(* Reset per-partition driver state and give each partition a private trace
-   sink when the engine has one. *)
+(* Split the engine-wide queue into the partitions' own queues, reset
+   per-partition driver state and give each partition a private trace sink
+   when the engine has one. *)
 let setup_partitions t =
+  Evq.move_all t.queue ~into:(fun part -> t.parts.(part).queue);
   Array.iter
     (fun p ->
       p.pclock <- t.clock;
@@ -630,17 +748,19 @@ let setup_partitions t =
         | None -> None))
     t.parts
 
-(* Fold per-partition clocks, counters and trace sinks back into the engine
-   after a parallel run. The traces merge in canonical
-   (t0, t1, lane, label, kind) order: deterministic for any window schedule
-   and any worker count. *)
+(* Fold per-partition clocks, counters, pending events and trace sinks
+   back into the engine after a parallel run, also one cut short by an
+   exception: a later [run] then drains what is left in canonical order.
+   The traces merge in canonical (t0, t1, lane, label, kind) order:
+   deterministic for any window schedule and any worker count. *)
 let teardown_partitions t pool =
   (match pool with Some pool -> Dpool.shutdown pool | None -> ());
   t.phase <- Idle;
   Array.iter
     (fun p ->
       t.clock <- Time.max t.clock p.pclock;
-      t.seq <- Stdlib.max t.seq p.pseq)
+      t.seq <- Stdlib.max t.seq p.pseq;
+      Evq.move_all p.queue ~into:(fun _ -> t.queue))
     t.parts;
   match t.trace_sink with
   | None -> ()
@@ -686,10 +806,10 @@ let run_windowed ?jobs ~lookahead t =
     (* Exclusive end of the next window; [None] once every queue drained. *)
     let next_wend () =
       Array.fold_left
-        (fun acc p ->
+        (fun acc (p : partition) ->
           if Evq.is_empty p.queue then acc
           else
-            let at = (Evq.top p.queue).at in
+            let at = Evq.top_time p.queue in
             match acc with None -> Some at | Some a -> Some (Time.min a at))
         None t.parts
       |> Option.map (fun floor -> Time.add floor lookahead)
@@ -699,17 +819,14 @@ let run_windowed ?jobs ~lookahead t =
        after the barrier. *)
     let exec_partition i =
       let p = t.parts.(i) in
+      let q = p.queue and wend = (t.wend :> int) in
       Domain.DLS.set dls_part i;
       try
-        let continue_ = ref true in
-        while !continue_ do
-          if (not (Evq.is_empty p.queue)) && Time.((Evq.top p.queue).at < t.wend) then begin
-            let ev = Evq.pop p.queue in
-            p.pclock <- ev.at;
-            p.pexec <- p.pexec + 1;
-            ev.thunk ()
-          end
-          else continue_ := false
+        while (not (Evq.is_empty q)) && (Evq.top_time q :> int) < wend do
+          p.pclock <- Evq.top_time q;
+          let thunk = Evq.pop q in
+          p.pexec <- p.pexec + 1;
+          thunk ()
         done
       with e -> p.pexn <- Some (e, Printexc.get_raw_backtrace ())
     in
@@ -748,7 +865,7 @@ let run_windowed ?jobs ~lookahead t =
             | [] -> ()
             | msgs ->
               List.iter
-                (fun m -> push_into t t.parts.(m.m_dst) m.m_at m.m_thunk)
+                (fun m -> push_into t m.m_dst m.m_at m.m_thunk)
                 (List.sort cmp_msg msgs));
             (* Stall scan at the barrier: a wait older than the watchdog
                bound relative to the window just drained is a livelock. *)

@@ -14,9 +14,10 @@
 
     An engine may be created with [~partitions:n]. Every process and event
     then belongs to one partition (a simulated device, or the host plus
-    interconnect), each with its own event queue. Under {!run} this changes
-    nothing observable: events are still executed in one global
-    (timestamp, sequence) order. Under {!run_windowed} the partitions execute
+    interconnect). Under {!run} this changes nothing observable: all events
+    share one queue and execute in one global (timestamp, sequence) order.
+    {!run_windowed} splits that queue into one per partition for the run and
+    merges what is left back when it returns or raises. The partitions execute
     concurrently in conservative, barrier-synchronized time windows whose
     width is the minimum cross-partition latency (the {e lookahead}): within
     a window no partition can affect another, so their event queues can be
@@ -144,8 +145,9 @@ val spawn_stackless :
     Apart from the missing stack it is a process like any other: its pid is
     drawn in spawn order, it counts in the live set and the registry until
     it finishes, it reports as ["delay (since T)"] while it sleeps, and it is
-    refused inside a window exactly as {!spawn} is. Because no continuation is captured, starting and resuming one costs
-    a closure rather than a fiber. *)
+    refused inside a window exactly as {!spawn} is. Because no continuation
+    is captured, starting one costs a closure rather than a fiber, and a
+    {!sleep_until} allocates nothing beyond the caller's next step. *)
 
 val sleep_until : t -> process -> Time.t -> (unit -> unit) -> unit
 (** [sleep_until t proc at k], called from the running step of the
@@ -160,7 +162,8 @@ val process_partition : process -> int
 val process_group : process -> string option
 
 val delay : t -> Time.t -> unit
-(** Block the calling process for a simulated duration. *)
+(** Block the calling process for a simulated duration. The wake-up event
+    is the process's own resume thunk, built once at spawn. *)
 
 val yield : t -> unit
 (** Re-enqueue the calling process at the current time, letting other events
@@ -217,6 +220,33 @@ val run_windowed : ?jobs:int -> lookahead:Time.t -> t -> outcome
 
     @raise Deadlock as {!run}.
     @raise Lookahead_violation if the model breaks partition isolation. *)
+
+(** The engine's event queue: a binary min-heap of thunks keyed by
+    (time, sequence, partition) and popped in that lexicographic order.
+    The keys live in flat int columns and each thunk in a slot written once
+    per push and cleared once per pop, so neither allocates once the queue
+    has grown to its peak. Model code schedules through {!schedule_at} and
+    {!post}; the queue is exposed for its own tests. *)
+module Evq : sig
+  type t
+
+  val create : unit -> t
+  val is_empty : t -> bool
+  val push : t -> at:Time.t -> seq:int -> part:int -> (unit -> unit) -> unit
+
+  val top_time : t -> Time.t
+  (** Key of the smallest event; the queue must not be empty. *)
+
+  val top_part : t -> int
+
+  val pop : t -> unit -> unit
+  (** Remove the smallest event and return its thunk.
+      @raise Invalid_argument on an empty queue. *)
+
+  val move_all : t -> into:(int -> t) -> unit
+  (** Move every event, key unchanged, into the queue [into] picks for its
+      partition, leaving the source empty. *)
+end
 
 val events_executed : t -> int
 (** Total events executed so far, across all partitions and runs — the

@@ -12,13 +12,18 @@ module Flag = struct
   let name t = t.fname
   let get t = t.value
 
+  let rec any_ready v = function [] -> false | w :: rest -> w.pred v || any_ready v rest
+
+  (* Most sets satisfy nobody (a counter creeping towards a waiter's
+     target), so the list is rebuilt only when some waiter is ready; the
+     ready ones wake in list order. *)
   let wake_satisfied t =
-    match t.waiters with
-    | [] -> ()
-    | waiters ->
-      let ready, still = List.partition (fun w -> w.pred t.value) waiters in
+    let v = t.value in
+    if any_ready v t.waiters then begin
+      let ready, still = List.partition (fun w -> w.pred v) t.waiters in
       t.waiters <- still;
       List.iter (fun w -> w.wake ()) ready
+    end
 
   let set t v =
     t.value <- v;
@@ -163,19 +168,18 @@ module Resource = struct
     start
 
   let book_many resources ~duration =
-    match resources with
-    | [] -> invalid_arg "Resource.book_many: empty resource list"
-    | first :: _ ->
-      let now = Engine.now first.eng in
-      let start =
-        List.fold_left (fun acc r -> Time.max acc r.free_from) now resources
-      in
-      List.iter
-        (fun r ->
-          r.free_from <- Time.add start duration;
-          r.total_busy <- Time.add r.total_busy duration)
-        resources;
-      start
+    if Array.length resources = 0 then invalid_arg "Resource.book_many: empty resource array";
+    let start =
+      Array.fold_left (fun acc r -> Time.max acc r.free_from) (Engine.now resources.(0).eng)
+        resources
+    in
+    let free_from = Time.add start duration in
+    for i = 0 to Array.length resources - 1 do
+      let r = resources.(i) in
+      r.free_from <- free_from;
+      r.total_busy <- Time.add r.total_busy duration
+    done;
+    start
 
   let busy t = t.total_busy
 end

@@ -79,10 +79,10 @@ module Resource : sig
       {!free_at}; returns the start time. Does not block — pair with
       [Engine.delay] to model the occupancy. *)
 
-  val book_many : t list -> duration:Time.t -> Time.t
+  val book_many : t array -> duration:Time.t -> Time.t
   (** Reserve several resources for the same interval (a transfer crossing an
       egress and an ingress port); the common start time is the latest
-      {!free_at}. The list must be non-empty. *)
+      {!free_at}. The array must be non-empty. *)
 
   val busy : t -> Time.t
   (** Total booked time so far (for utilization accounting). *)

@@ -306,7 +306,7 @@ let book t ~src ~dst ~initiator ~bytes =
     match e.e_ports with
     | [||] -> Time.add (Time.add (E.Engine.now t.eng) latency) dur
     | ps ->
-      let start = E.Sync.Resource.book_many (Array.to_list ps) ~duration:dur in
+      let start = E.Sync.Resource.book_many ps ~duration:dur in
       Time.add (Time.add start latency) dur
   in
   t.total_bytes <- t.total_bytes + bytes;

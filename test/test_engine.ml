@@ -671,7 +671,7 @@ let sync_tests =
         let (_ : Engine.process) =
           Engine.spawn eng ~name:"x" (fun () ->
               let (_ : Time.t) = Sync.Resource.book a ~duration:(Time.ns 70) in
-              let start = Sync.Resource.book_many [ a; b ] ~duration:(Time.ns 10) in
+              let start = Sync.Resource.book_many [| a; b |] ~duration:(Time.ns 10) in
               check_int "waits for a" 70 (Time.to_ns start);
               check_int "b free_at updated" 80 (Time.to_ns (Sync.Resource.free_at b)))
         in
@@ -990,6 +990,229 @@ let stackless_tests =
         | _ -> Alcotest.fail "expected Lookahead_violation");
   ]
 
+(* --- Event queue, registry and allocation ------------------------------- *)
+
+module Evq = Engine.Evq
+
+(* Pop every event of [q], each thunk reporting its own key. *)
+let drain_keys q log =
+  let rec go acc =
+    if Evq.is_empty q then List.rev acc
+    else begin
+      (Evq.pop q) ();
+      go (!log :: acc)
+    end
+  in
+  go []
+
+(* A random interleaving of pushes ([Some key]) and pops ([None]) with many
+   equal times and equal seqs across partitions: every pop must return the
+   least pending key in (time, seq, partition) order, and [move_all] must
+   hand every pending event over with its key. *)
+let evq_law ops =
+  let q = Evq.create () in
+  let log = ref (0, 0, 0) in
+  let model = ref [] in
+  let ok = ref true in
+  List.iter
+    (function
+      | Some ((at, seq, part) as key) ->
+        Evq.push q ~at:(Time.ns at) ~seq ~part (fun () -> log := key);
+        model := List.merge compare [ key ] !model
+      | None -> (
+        match !model with
+        | [] -> ok := !ok && Evq.is_empty q
+        | least :: rest ->
+          let top = (Time.to_ns (Evq.top_time q), Evq.top_part q) in
+          (Evq.pop q) ();
+          let at, _, part = least in
+          ok := !ok && top = (at, part) && !log = least;
+          model := rest))
+    ops;
+  let even = Evq.create () and odd = Evq.create () in
+  Evq.move_all q ~into:(fun part -> if part mod 2 = 0 then even else odd);
+  let keep parity = List.filter (fun (_, _, part) -> part mod 2 = parity) !model in
+  !ok
+  && Evq.is_empty q
+  && drain_keys even log = keep 0
+  && drain_keys odd log = keep 1
+
+(* Partitions 1-3 of an isolated engine each run a fiber that logs
+   [(now, partition)] every 100ns, ten times; partition 2's raises on its
+   fourth wake-up, inside the second window. *)
+let build_raising_model log =
+  let eng = Engine.create ~partitions:4 ~isolated:true () in
+  for part = 1 to 3 do
+    let (_ : Engine.process) =
+      Engine.spawn eng ~name:(Printf.sprintf "r%d" part) ~partition:part (fun () ->
+          for i = 1 to 10 do
+            Engine.delay eng (Time.ns 100);
+            log := (Time.to_ns (Engine.now eng), part) :: !log;
+            if part = 2 && i = 4 then failwith "boom"
+          done)
+    in
+    ()
+  done;
+  eng
+
+(* Words allocated per event while [eng] drains, after a warm-up that grows
+   the queue and registry to their peak. *)
+let words_per_event eng =
+  Engine.run ~until:(Time.ns 50) eng;
+  let e0 = Engine.events_executed eng in
+  let w0 = Gc.minor_words () in
+  Engine.run eng;
+  let words = Gc.minor_words () -. w0 in
+  words /. float_of_int (Engine.events_executed eng - e0)
+
+(* Spawn/finish cycles of alternating fibers and stackless processes, up
+   to three alive at once: how often the registry disagreed with the live
+   count, and the words the engine then reaches. *)
+let churn cycles =
+  let eng = Engine.create () in
+  let mismatches = ref 0 in
+  let check () =
+    if Engine.registered_processes eng <> Engine.live_processes eng then incr mismatches
+  in
+  let (_ : Engine.process) =
+    Engine.spawn eng ~name:"driver" (fun () ->
+        for i = 1 to cycles do
+          (if i mod 2 = 0 then
+             ignore (Engine.spawn eng ~name:"f" (fun () -> Engine.delay eng (Time.ns 3)))
+           else
+             let (_ : Engine.process) =
+               Engine.spawn_stackless eng ~name:"s" (fun proc ->
+                   Engine.sleep_until eng proc (Time.add (Engine.now eng) (Time.ns 2)) ignore)
+             in
+             ());
+          check ();
+          Engine.delay eng (Time.ns 1);
+          check ()
+        done)
+  in
+  Engine.run eng;
+  check_int "registry drained" 0 (Engine.registered_processes eng);
+  (!mismatches, Obj.reachable_words (Obj.repr eng))
+
+let evq_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"pop order is the (time, seq, partition) sort" ~count:500
+         QCheck.(
+           list_of_size Gen.(0 -- 120) (option (triple (int_bound 4) (int_bound 3) (int_bound 3))))
+         evq_law);
+    Alcotest.test_case "run drains a raising window's leftovers in canonical order" `Quick
+      (fun () ->
+        let log = ref [] in
+        let eng = build_raising_model log in
+        (match Engine.run_windowed ~jobs:1 ~lookahead:(Time.ns 250) eng with
+        | exception Failure msg -> check Alcotest.string "the model's exception" "boom" msg
+        | _ -> Alcotest.fail "expected the partition's exception");
+        (* Windows [0, 250) and [300, 550) ran: partitions 1 and 3 logged
+           five times, partition 2 four times before it raised. *)
+        check_int "logged inside the windows" 14 (List.length !log);
+        log := [];
+        Engine.run eng;
+        let rest = List.concat_map (fun at -> [ (at, 1); (at, 3) ]) [ 600; 700; 800; 900; 1000 ] in
+        check
+          (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int))
+          "leftovers by (time, seq, partition)" rest (List.rev !log);
+        check_int "events: 3 starts + 10 + 4 + 10 wake-ups" 27 (Engine.events_executed eng);
+        check_int "clock" 1000 (Time.to_ns (Engine.now eng)));
+    Alcotest.test_case "10k spawn/finish cycles keep the registry at the live count" `Quick
+      (fun () ->
+        let mismatches, words_small = churn 100 in
+        check_int "registered = live (100 cycles)" 0 mismatches;
+        let mismatches, words_large = churn 10_000 in
+        check_int "registered = live (10k cycles)" 0 mismatches;
+        check_bool
+          (Printf.sprintf "slot table bounded (%d words after 100 cycles, %d after 10k)" words_small
+             words_large)
+          true (words_large <= words_small));
+    Alcotest.test_case "delayed and sleeping processes report delay (since T)" `Quick (fun () ->
+        let eng = Engine.create ~watchdog:(Time.ns 50) () in
+        let never = Sync.Flag.create ~name:"never" eng 0 in
+        let (_ : Engine.process) =
+          Engine.spawn eng ~name:"sleepy" (fun () ->
+              Engine.delay eng (Time.ns 10);
+              Engine.delay eng (Time.ns 990))
+        in
+        let (_ : Engine.process) = sleeper eng ~name:"napper" [ 20; 1000 ] (ref []) in
+        let (_ : Engine.process) =
+          Engine.spawn eng ~name:"stuck" (fun () -> Sync.Flag.wait_ge never 1)
+        in
+        let expected =
+          [
+            "sleepy(#1) [p0]: delay (since 10ns)";
+            "napper(#2) [p0]: delay (since 20ns)";
+            "stuck(#3) [p0]: flag never (value 0) (since 0ns)";
+          ]
+        in
+        Engine.run ~until:(Time.ns 30) eng;
+        check (Alcotest.list Alcotest.string) "blocked_descriptions" expected
+          (Engine.blocked_descriptions eng);
+        (* A delayed process always has its wake queued, so it can never be
+           part of a Deadlock; the watchdog's Stall report lists it. *)
+        match Engine.run eng with
+        | () -> Alcotest.fail "expected a stall"
+        | exception Engine.Stall r ->
+          check (Alcotest.list Alcotest.string) "stall report" expected r.Engine.stall_blocked);
+    Alcotest.test_case "a suspended fiber is named in the Deadlock" `Quick (fun () ->
+        let eng = Engine.create () in
+        let never = Sync.Flag.create ~name:"never" eng 0 in
+        let (_ : Engine.process) =
+          Engine.spawn eng ~name:"waiter" ~group:"gpu0" (fun () ->
+              Engine.delay eng (Time.ns 7);
+              Sync.Flag.wait_ge ~waits_on:"gpu1" never 1)
+        in
+        match Engine.run eng with
+        | () -> Alcotest.fail "expected a deadlock"
+        | exception Engine.Deadlock lines ->
+          check (Alcotest.list Alcotest.string) "deadlock"
+            [ "waiter(#1) [p0 gpu0]: flag never (value 0) (since 7ns) <- waits on gpu1" ]
+            lines);
+  ]
+
+(* The per-event allocation guard: a delay or a sleep pushes the process's
+   own resume thunk into flat queue columns, so what is left is the effect
+   and the captured continuation (a fiber) or the caller's step closure (a
+   stackless chain, 5 words here). *)
+let alloc_tests =
+  [
+    Alcotest.test_case "64-fiber delay loop allocates at most 10 words per event" `Quick
+      (fun () ->
+        let eng = Engine.create () in
+        for i = 1 to 64 do
+          let (_ : Engine.process) =
+            Engine.spawn eng ~name:"f" (fun () ->
+                for _ = 1 to 1000 do
+                  Engine.delay eng (Time.ns (1 + (i mod 7)))
+                done)
+          in
+          ()
+        done;
+        let w = words_per_event eng in
+        check_bool (Printf.sprintf "%.2f words/event <= 10" w) true (w <= 10.0));
+    Alcotest.test_case "64-process sleep_until chain allocates at most 6 words per event"
+      `Quick (fun () ->
+        let eng = Engine.create () in
+        for i = 1 to 64 do
+          let (_ : Engine.process) =
+            Engine.spawn_stackless eng ~name:"s" (fun proc ->
+                let rec go n =
+                  if n > 0 then
+                    Engine.sleep_until eng proc
+                      (Time.add (Engine.now eng) (Time.ns (1 + (i mod 7))))
+                      (fun () -> go (n - 1))
+                in
+                go 1000)
+          in
+          ()
+        done;
+        let w = words_per_event eng in
+        check_bool (Printf.sprintf "%.2f words/event <= 6" w) true (w <= 6.0));
+  ]
+
 let () =
   Alcotest.run "engine"
     [
@@ -1002,4 +1225,6 @@ let () =
       ("sync", sync_tests);
       ("partitions", partition_tests);
       ("stackless", stackless_tests);
+      ("evq", evq_tests);
+      ("alloc", alloc_tests);
     ]
