@@ -25,42 +25,58 @@ let ceil_pow2 n =
   done;
   !k
 
-(* Tree and doubling wait mid-schedule for data they forward onward, so a
-   shared arrival counter is not sound: a near peer's later-step message
-   could satisfy an earlier wait whose far message is still in flight, and
-   the PE would forward a stale slot. Each such channel therefore gets its
-   own signal with exactly one sender per receiver per round and a fixed
-   per-round count — per-sender delivery is FIFO (same pair, same route,
-   same size), so a satisfied threshold is a data guarantee. Dense and ring
-   stay on the single counter: dense only reads after the whole round's
-   count (and shortest-path routing obeys the triangle inequality, so no
-   relayed message can overtake a direct one), and ring has a single sender
-   per PE. *)
+(* Tree and doubling wait mid-schedule before forwarding what they hold,
+   so on a shared arrival counter a near peer's later-step message could
+   satisfy an earlier wait whose far message is still in flight, and the
+   PE would forward early. Each such channel therefore gets its own signal
+   with exactly one sender per receiver per round and a fixed per-round
+   count: without faults per-sender delivery is FIFO (same pair, same
+   route, same size), so a satisfied threshold means the awaited message
+   has landed. Dense and ring stay on the single counter. Under drop
+   faults no count is a data guarantee — a replayed drop lands after its
+   sender's later messages — so no schedule reads delivered data: the
+   reduce reads the group's bank (see {!group}), and a count need only
+   prove that every member has contributed, which any complete round of
+   a full allgather does. *)
 type channels =
   | Shared
   | Tree_sigs of { up : Nvshmem.signal array; down : Nvshmem.signal }
   | Dbl_sigs of { pre : Nvshmem.signal; step : Nvshmem.signal array; post : Nvshmem.signal }
 
-(* A membership view: the PEs participating in the schedule (rank order)
-   plus the signal set the schedule rides. The full group is built at
-   [create]; fail-stop shrinks build smaller groups keyed by the dead set,
-   with fresh signals so counts from an abandoned round cannot satisfy a
-   shrunk round's waits. Schedules run in {e rank} space (a rank is an
-   index into [members]); on the healthy full group rank = PE id, keeping
-   fault-free runs byte-identical to the pre-fail-stop layer. *)
+(* A membership view: the PEs participating in the schedule (rank order),
+   the signal set the schedule rides and the group's contribution bank.
+   The full group is built at [create]; fail-stop shrinks build smaller
+   groups keyed by the dead set, with fresh signals so counts from an
+   abandoned round cannot satisfy a shrunk round's waits, and a fresh bank
+   so the abandoned round's writes cannot land in it. Schedules run in
+   {e rank} space (a rank is an index into [members]); on the healthy full
+   group rank = PE id, keeping fault-free runs byte-identical to the
+   pre-fail-stop layer.
+
+   The bank holds two parity banks of m slots, slot [parity * m + rank]
+   for rank's contribution to a round of that parity. A rank writes its
+   own slot when it contributes, and every member reads the whole parity
+   bank once its schedule completes. That is sound because every schedule
+   is a full allgather: no member completes round R before every member
+   has contributed to R, and a rank rewrites R's parity bank only in round
+   R+2, after completing R+1, which proves every member has entered R+1
+   and so has finished reading R. The schedules' puts still move every
+   slot they would carry, but into phantom scratch: the fabric charges the
+   same bytes, ports and events, and no data is copied. *)
 type group = {
   members : int array;  (* rank -> PE id, ascending *)
   ranks : int array;  (* PE id -> rank, -1 for a non-member *)
   arrived : Nvshmem.signal;  (* counts contributions delivered to this PE *)
   chans : channels;
   gkey : string;  (* canonical dead-set key; "" = full membership *)
+  bank : float array;  (* 2 * m slots: parity * m + rank *)
 }
 
 type t = {
   nv : Nvshmem.t;
   alg : algorithm;
   clabel : string;
-  contrib : Nvshmem.sym;  (* per PE: one slot per contributor *)
+  contrib : Nvshmem.sym;  (* phantom: the positions the puts name *)
   groups : (string, group) Hashtbl.t;  (* dead-set key -> group, shared *)
   pe_grp : group array;  (* per-PE adopted membership view *)
   round : int array;  (* completed rounds, per PE *)
@@ -95,14 +111,14 @@ let make_channels nv ~label ~m = function
 let create ?(algorithm = Dense) nv ~label =
   let n = Nvshmem.n_pes nv in
   let chans = make_channels nv ~label ~m:n algorithm in
-  (* Two banks of n slots, alternating by round parity: every algorithm
-     here is a full allgather, so a PE finishing round R+1 proves every
-     other PE entered R+1 — i.e. finished reading bank R — before any
-     round-R+2 write can touch that bank. No barrier needed. *)
-  let contrib = Nvshmem.sym_malloc nv ~label:(label ^ ".contrib") (2 * n) in
+  (* The puts address two banks of n slots, alternating by round parity,
+     in phantom scratch; the values live in the group's bank. *)
+  let contrib = Nvshmem.sym_malloc nv ~label:(label ^ ".contrib") ~phantom:true (2 * n) in
   let arrived = Nvshmem.signal_malloc nv ~label:(label ^ ".arrived") () in
   let identity = Array.init n Fun.id in
-  let full = { members = identity; ranks = identity; arrived; chans; gkey = "" } in
+  let full =
+    { members = identity; ranks = identity; arrived; chans; gkey = ""; bank = Array.make (2 * n) 0.0 }
+  in
   let groups = Hashtbl.create 4 in
   Hashtbl.add groups "" full;
   {
@@ -180,10 +196,10 @@ let coll_wait t ~pe ~sig_var v =
   go ();
   check_revoked t
 
-(* Position-preserving signaled put: slot [pos] of my bank lands in slot
-   [pos] of [peer]'s, bumping [sig_var]'s count at the peer by the element
-   count (put-then-signal ordering makes each arrival a data guarantee).
-   [rank]/[peer] are rank-space; the group maps them to PE ids. *)
+(* Position-preserving signaled put: slots [pos, pos + len) of my scratch
+   travel to the same slots of [peer]'s, bumping [sig_var]'s count at the
+   peer by the element count. [rank]/[peer] are rank-space; the group maps
+   them to PE ids. *)
 let send_on t g ~sig_var ~rank ~peer ~pos ~len =
   let from_pe = g.members.(rank) and to_pe = g.members.(peer) in
   Nvshmem.putmem_signal_nbi t.nv ~from_pe ~to_pe
@@ -222,9 +238,10 @@ let gather_ring t g ~pe ~rank ~bank =
   done
 
 (* Per-channel wait: one sender, a fixed count per round, cumulative
-   threshold [(round - rbase) * per_round] — per-sender FIFO makes this
-   sound even when other channels' messages arrive out of order, and the
-   base offset restarts the count on a shrunk group's fresh signals. *)
+   threshold [(round - rbase) * per_round] — without drops, per-sender
+   FIFO times the wait to its own sender's message whatever order other
+   channels' messages arrive in, and the base offset restarts the count
+   on a shrunk group's fresh signals. *)
 let wait_on t ~sig_var ~pe ~per_round =
   coll_wait t ~pe ~sig_var ((t.round.(pe) - t.rbase.(pe)) * per_round)
 
@@ -232,9 +249,7 @@ let wait_on t ~sig_var ~pe ~per_round =
    block to its parent the round its lowest set bit fires), then broadcast
    the full bank back down. 2·log n rounds, log n fan-out per PE; level [k]
    rides its own signal (single sender: the [pe + 2^k] child; the down
-   broadcast likewise comes only from the parent). The down-phase overwrite
-   of a child's own slots is benign: the root's copy carries the same
-   values the child contributed. *)
+   broadcast likewise comes only from the parent). *)
 let gather_tree t g ~pe ~rank ~bank ~up ~down =
   let m = Array.length g.members in
   if m > 1 then begin
@@ -333,7 +348,8 @@ let shrink t ~pe =
           let chans = make_channels t.nv ~label ~m:(Array.length members) t.alg in
           let ranks = Array.make (n t) (-1) in
           Array.iteri (fun r pe -> ranks.(pe) <- r) members;
-          let g = { members; ranks; arrived; chans; gkey = key } in
+          let m = Array.length members in
+          let g = { members; ranks; arrived; chans; gkey = key; bank = Array.make (2 * m) 0.0 } in
           Hashtbl.add t.groups key g;
           F.note_shrink plan;
           g
@@ -357,43 +373,58 @@ let run_schedule t g ~pe ~rank ~bank =
     gather_doubling t g ~pe ~rank ~bank ~pre ~step_sig:step ~post
   | (Tree | Doubling), _ -> assert false
 
-(* One attempt at the current round on this PE's adopted group; a kill
-   diagnosed mid-schedule shrinks the membership and redoes the round
-   over the survivors (fresh signals, so the abandoned attempt's counts
-   cannot satisfy the redo's waits; the redo repopulates every slot the
-   reduction reads). A corpse woken by its own timeout abandons the
-   round silently — its result is never consumed. *)
-let rec attempt t ~pe ~bank value =
+(* One attempt at the current round on this PE's adopted group: write my
+   slot of the group's bank, then run the schedule. A kill diagnosed
+   mid-schedule shrinks the membership and redoes the round over the
+   survivors (fresh signals, so the abandoned attempt's counts cannot
+   satisfy the redo's waits; a fresh bank, which the redo fills). A
+   corpse woken by its own timeout abandons the round silently — its
+   result is never consumed. *)
+let rec attempt t ~pe ~parity value =
   let g = t.pe_grp.(pe) in
   let rank = rank_of g pe in
-  G.Buffer.set (Nvshmem.local t.contrib ~pe) (bank + rank) value;
-  match run_schedule t g ~pe ~rank ~bank with
+  g.bank.((parity * Array.length g.members) + rank) <- value;
+  match run_schedule t g ~pe ~rank ~bank:(parity * n t) with
   | () -> ()
   | exception (F.Killed _ as ex) ->
     if self_dead t ~pe then ()
-    else if shrink t ~pe then attempt t ~pe ~bank value
+    else if shrink t ~pe then attempt t ~pe ~parity value
     else raise ex
 
-(* Allgather my value into every member's bank for this round, then wait
-   until all m contributions have arrived here. Returns the bank offset to
-   read. Every algorithm leaves the identical slot layout (slot r = rank
-   r's value), so the reduction below is numerically identical across
-   them. A PE whose scheduled death has passed contributes nothing and
-   waits for nothing. *)
+(* Contribute my value and run the round's allgather schedule until every
+   member's contribution is in. Returns the parity bank to read. A PE
+   whose scheduled death has passed contributes nothing and waits for
+   nothing. *)
 let gather_round t ~pe value =
   check_revoked t;
   t.round.(pe) <- t.round.(pe) + 1;
-  let bank = (t.round.(pe) land 1) * n t in
-  if not (self_dead t ~pe) then attempt t ~pe ~bank value;
-  bank
+  let parity = t.round.(pe) land 1 in
+  if not (self_dead t ~pe) then attempt t ~pe ~parity value;
+  parity
 
-let reduce t ~pe ~init ~f value =
-  let bank = gather_round t ~pe value in
-  let own = Nvshmem.local t.contrib ~pe in
-  G.Buffer.fold_range own ~pos:bank ~len:(Array.length t.pe_grp.(pe).members) f init
+(* The reduce reads the adopted group's parity bank in rank order — the
+   same order for every algorithm, so all four return bit-identical
+   results. *)
+let allreduce_sum t ~pe value =
+  let parity = gather_round t ~pe value in
+  let g = t.pe_grp.(pe) in
+  let m = Array.length g.members in
+  let acc = ref 0.0 in
+  for i = parity * m to (parity * m) + m - 1 do
+    acc := !acc +. Array.unsafe_get g.bank i
+  done;
+  !acc
 
-let allreduce_sum t ~pe value = reduce t ~pe ~init:0.0 ~f:( +. ) value
-let allreduce_max t ~pe value = reduce t ~pe ~init:neg_infinity ~f:Float.max value
+let allreduce_max t ~pe value =
+  let parity = gather_round t ~pe value in
+  let g = t.pe_grp.(pe) in
+  let m = Array.length g.members in
+  let acc = ref neg_infinity in
+  for i = parity * m to (parity * m) + m - 1 do
+    acc := Float.max !acc (Array.unsafe_get g.bank i)
+  done;
+  !acc
+
 let barrier t ~pe = Nvshmem.barrier_all t.nv ~pe
 let rounds t ~pe = t.round.(pe)
 

@@ -9,8 +9,9 @@
     Four allreduce schedules are available: the dense all-to-all scatter
     (latency-optimal at small n, n² messages), the bandwidth-optimal ring,
     the binomial gather/broadcast tree, and recursive doubling. All four are
-    allgathers into the same two-bank slot layout followed by an identical
-    in-order local reduction, so they return bit-identical results — the
+    full allgathers followed by the same in-order reduction over the
+    group's contribution bank, so they return bit-identical results — the
+    in-order fold, also under dropped or delayed deliveries — and the
     choice only moves simulated time. A halo-exchange pipeline covers the
     stencil-shaped pattern. Each has a CPU-driven baseline
     ({!host_allreduce_sum}, {!host_halo_run}) that runs the same schedule as
@@ -33,11 +34,15 @@ val algorithm_to_string : algorithm -> string
 type t
 
 val create : ?algorithm:algorithm -> Nvshmem.t -> label:string -> t
-(** Allocates the symmetric scratch (two banks of one slot per PE plus the
-    arrival signals the schedule needs — a single shared counter for
-    [Dense]/[Ring], one signal per tree level / doubling phase for the
-    staged schedules, so a wait can only be satisfied by its own round's
-    senders). [algorithm] picks the communication schedule (default
+(** Allocates the group's contribution bank — 2n floats in all, two
+    parity banks of one slot per PE, each PE writing its own slot when it
+    contributes — and the arrival signals the schedule needs: a single
+    shared counter for [Dense]/[Ring], which only orders the schedule (a
+    replayed drop can arrive after its sender's next message), and one
+    signal per tree level / doubling phase for the staged schedules. The
+    schedules' puts name phantom symmetric scratch of two banks of n
+    slots per PE: they charge the fabric for every slot they carry and
+    copy no data. [algorithm] picks the communication schedule (default
     [Dense], the original all-to-all). *)
 
 val algorithm : t -> algorithm
@@ -63,12 +68,12 @@ val rounds : t -> pe:int -> int
     on the new membership (derived from the kill schedule at virtual now
     — deterministic under every [CPUFREE_PDES] driver), rebuild the
     dense/ring/tree/doubling schedule over the survivor set on fresh
-    signals, and redo the failed round, completing the reduction over
-    survivors only. Supported when the dead PE contributed nothing to the
-    failed round (it died before the round began — the quiesced-failure
-    model); a mid-round partial contribution cannot be repaired by
-    shrinking and deterministically aborts with the diagnosed
-    {!Cpufree_fault.Fault.Killed} instead. *)
+    signals and a fresh contribution bank, and redo the failed round,
+    completing the reduction over survivors only. Supported when the dead
+    PE contributed nothing to the failed round (it died before the round
+    began — the quiesced-failure model); a mid-round partial contribution
+    cannot be repaired by shrinking and deterministically aborts with the
+    diagnosed {!Cpufree_fault.Fault.Killed} instead. *)
 
 val degraded : t -> bool
 (** Whether any fail-stop shrink has been performed: reductions since

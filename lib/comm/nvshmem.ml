@@ -136,98 +136,170 @@ let apply_signal sig_var pe op v =
 
 let lane t pe = G.Device.lane (G.Runtime.device t.ctx pe) "nvshmem"
 
-(* A delivery is written once, in continuation style: [sleep at k] wakes at
-   the absolute time [at] and runs [k]. An asynchronous put drives it as a
-   stackless process (each sleep is one engine event); a waiter replaying a
-   lost delivery drives it with ordinary blocking delays. Both push the
-   same events at the same times. *)
-type sleep = Time.t -> (unit -> unit) -> unit
-
-let blocking_sleep t at k =
-  E.Engine.delay t.eng (Time.sub at (E.Engine.now t.eng));
-  k ()
-
-(* Run a delivery asynchronously on behalf of [from_pe] as a stackless
-   process, tracking it in the PE's outstanding-op counter so that
-   quiet/barrier can drain it. The process name is formatted only if a
-   diagnostic lists it. *)
-let deliver_async t ~from_pe ~label body =
-  E.Sync.Flag.add t.pending.(from_pe) 1;
-  t.next_op <- t.next_op + 1;
-  let op = t.next_op in
-  let (_ : E.Engine.process) =
-    E.Engine.spawn_stackless t.eng
-      ~lazy_name:(fun () -> Printf.sprintf "nvshmem.%s.pe%d.%d" label from_pe op)
-      ~partition:(G.Runtime.gpu_partition t.ctx from_pe)
-      (fun proc ->
-        body (E.Engine.sleep_until t.eng proc) (fun () ->
-            E.Sync.Flag.add t.pending.(from_pe) (-1)))
-  in
-  ()
-
 (* Flow-arrow context drawn at issue time, when the trace records flows:
    a deterministic id unique across PEs in sender program order (issue
    index interleaved with the source PE), plus the departure coordinates.
    The per-PE sequence only advances when flows are on, so legacy runs
    stay byte-identical. *)
+type flow = { fid : int; src_lane : string; src_t : Time.t }
+
 let flow_ctx t ~from_pe =
   if not (E.Trace.flows_enabled (E.Engine.trace t.eng)) then None
   else begin
     let fid = (t.op_seq.(from_pe) * t.n) + from_pe in
     t.op_seq.(from_pe) <- t.op_seq.(from_pe) + 1;
-    Some (fid, lane t from_pe, E.Engine.now t.eng)
+    Some { fid; src_lane = lane t from_pe; src_t = E.Engine.now t.eng }
   end
-
-(* Wrap a delivery so its remote arrival is traced as a span on the
-   destination's nvshmem lane and tied back to the issuing put by a flow
-   arrow. *)
-let with_flow t fc ~to_pe ~label body (sleep : sleep) k =
-  match fc with
-  | None -> body sleep k
-  | Some (fid, src_lane, src_t) ->
-    let d0 = E.Engine.now t.eng in
-    body sleep (fun () ->
-        let d1 = E.Engine.now t.eng in
-        let tr = E.Engine.trace t.eng in
-        E.Trace.add_opt tr ~lane:(lane t to_pe) ~label:("deliver:" ^ label)
-          ~kind:E.Trace.Communication ~t0:d0 ~t1:d1;
-        E.Trace.add_flow_opt tr ~id:fid ~label ~src_lane ~src_t ~dst_lane:(lane t to_pe)
-          ~dst_t:d1;
-        k ())
 
 let mark_fault t ~pe ~label =
   let tr = E.Engine.trace t.eng in
   if E.Trace.flows_enabled tr then
     E.Trace.add_instant_opt tr ~lane:(lane t pe) ~label ~at:(E.Engine.now t.eng)
 
-(* The wire leg of a device-initiated put: book the route's ports now,
-   sleep until the last byte lands, record the span on the sender's lane. *)
-let wire t ~from_pe ~to_pe ~bytes ~label (sleep : sleep) k =
-  let t0 = E.Engine.now t.eng in
-  let landed =
-    G.Interconnect.book (net t) ~src:(G.Interconnect.Gpu from_pe)
-      ~dst:(G.Interconnect.Gpu to_pe) ~initiator:G.Interconnect.By_device ~bytes
-  in
-  sleep landed (fun () ->
-      (match E.Engine.trace t.eng with
-      | None -> ()
-      | Some tr ->
-        E.Trace.add tr ~lane:(lane t from_pe) ~label ~kind:E.Trace.Communication ~t0
-          ~t1:(E.Engine.now t.eng));
-      k ())
+(* One fabric delivery of any put kind, as a record stepped through its
+   stages. [Hold] idles out a delayed fate; [Start] opens the delivery; a
+   strided put then pays its per-element non-coalescing penalty before
+   [Wire], which books the route's ports and sleeps until the last byte
+   lands (a contiguous put books at [Start]); [Landed] records the wire
+   span and commits the data; a put with a signal waits out the signal
+   latency before applying it in [Signal] — NVSHMEM's data-before-signal
+   order; [Done] follows the flow arrow's close. *)
+type kind = Put | Put_signal | Iput
+type stage = Hold | Start | Wire | Landed | Signal | Done
 
-(* One fabric delivery: wire transfer, data commit, then any attached
-   signal — NVSHMEM's data-before-signal order, preserved verbatim when a
-   recovery replays the delivery. *)
-let delivery t ~from_pe ~to_pe ~bytes ~label ~commit ~signal_after (sleep : sleep) k =
-  wire t ~from_pe ~to_pe ~bytes ~label sleep (fun () ->
-      commit ();
-      match signal_after with
-      | None -> k ()
-      | Some (sig_var, sig_op, sig_value) ->
-        sleep (Time.add (E.Engine.now t.eng) (arch t).G.Arch.nvshmem_signal) (fun () ->
-            apply_signal sig_var to_pe sig_op sig_value;
-            k ()))
+type delivery = {
+  kind : kind;
+  d_from : int;
+  d_to : int;
+  src : G.Buffer.t;
+  src_pos : int;
+  src_stride : int;
+  dst : G.Buffer.t;
+  dst_pos : int;
+  dst_stride : int;
+  count : int;  (* elements *)
+  sig_var : signal;  (* meaningful for [Put_signal] only *)
+  sig_op : signal_op;
+  sig_value : int;
+  flow : flow option;
+  mutable stage : stage;
+  mutable hold : Time.t;  (* extra latency of a delayed fate *)
+  resend : bool;  (* a waiter's replay of a lost delivery *)
+  mutable d0 : Time.t;  (* delivery start, for the flow span *)
+  mutable w0 : Time.t;  (* wire start, for the wire span *)
+}
+
+(* The label a delivery reports under: its put kind, and the wire span of
+   a replayed contiguous put is marked as a resend. *)
+let flow_label = function Put -> "putmem_nbi" | Put_signal -> "putmem_signal_nbi" | Iput -> "iput"
+let proc_label = function Put -> "putmem_nbi" | Put_signal -> "putmem_signal_nbi" | Iput -> "iput_nbi"
+
+let wire_label d =
+  match d.kind, d.resend with
+  | Put, true -> "putmem_nbi.resend"
+  | Put_signal, true -> "putmem_signal_nbi.resend"
+  | (Put | Put_signal | Iput), _ -> flow_label d.kind
+
+let book_wire t d =
+  d.w0 <- E.Engine.now t.eng;
+  d.stage <- Landed;
+  G.Interconnect.book (net t) ~src:(G.Interconnect.Gpu d.d_from) ~dst:(G.Interconnect.Gpu d.d_to)
+    ~initiator:G.Interconnect.By_device ~bytes:(d.count * G.Buffer.elem_bytes)
+
+(* The remote arrival, traced as a span on the destination's nvshmem lane
+   and tied back to the issuing put by a flow arrow. *)
+let close_flow t d =
+  d.stage <- Done;
+  match d.flow with
+  | None -> ()
+  | Some f ->
+    let d1 = E.Engine.now t.eng in
+    let tr = E.Engine.trace t.eng in
+    let label = flow_label d.kind in
+    E.Trace.add_opt tr ~lane:(lane t d.d_to) ~label:("deliver:" ^ label)
+      ~kind:E.Trace.Communication ~t0:d.d0 ~t1:d1;
+    E.Trace.add_flow_opt tr ~id:f.fid ~label ~src_lane:f.src_lane ~src_t:f.src_t
+      ~dst_lane:(lane t d.d_to) ~dst_t:d1
+
+(* Run the delivery's current stage at the current time. Returns the
+   absolute time its next stage is due, or, once [d.stage] is [Done], the
+   current time. *)
+let step t d =
+  let now = E.Engine.now t.eng in
+  match d.stage with
+  | Hold ->
+    d.stage <- Start;
+    Time.add now d.hold
+  | Start -> (
+    d.d0 <- now;
+    match d.kind with
+    | Iput ->
+      d.stage <- Wire;
+      Time.add now (Time.scale (arch t).G.Arch.nvshmem_strided_elem (float_of_int d.count))
+    | Put | Put_signal -> book_wire t d)
+  | Wire -> book_wire t d
+  | Landed -> (
+    (match E.Engine.trace t.eng with
+    | None -> ()
+    | Some tr ->
+      E.Trace.add tr ~lane:(lane t d.d_from) ~label:(wire_label d) ~kind:E.Trace.Communication
+        ~t0:d.w0 ~t1:now);
+    match d.kind with
+    | Iput ->
+      G.Buffer.blit_strided ~src:d.src ~src_pos:d.src_pos ~src_stride:d.src_stride ~dst:d.dst
+        ~dst_pos:d.dst_pos ~dst_stride:d.dst_stride ~count:d.count;
+      close_flow t d;
+      now
+    | Put ->
+      G.Buffer.blit ~src:d.src ~src_pos:d.src_pos ~dst:d.dst ~dst_pos:d.dst_pos ~len:d.count;
+      close_flow t d;
+      now
+    | Put_signal ->
+      G.Buffer.blit ~src:d.src ~src_pos:d.src_pos ~dst:d.dst ~dst_pos:d.dst_pos ~len:d.count;
+      d.stage <- Signal;
+      Time.add now (arch t).G.Arch.nvshmem_signal)
+  | Signal ->
+    apply_signal d.sig_var d.d_to d.sig_op d.sig_value;
+    close_flow t d;
+    now
+  | Done -> now
+
+(* Run a delivery asynchronously on behalf of its sender as a stackless
+   process that re-arms one step closure, tracking it in the PE's
+   outstanding-op counter so that quiet/barrier can drain it. A dropped
+   delivery's process ends at once. The process name is formatted only if
+   a diagnostic lists it. *)
+let deliver_async t d =
+  let from_pe = d.d_from in
+  E.Sync.Flag.add t.pending.(from_pe) 1;
+  t.next_op <- t.next_op + 1;
+  let op = t.next_op in
+  let (_ : E.Engine.process) =
+    E.Engine.spawn_stackless t.eng
+      ~lazy_name:(fun () -> Printf.sprintf "nvshmem.%s.pe%d.%d" (proc_label d.kind) from_pe op)
+      ~partition:(G.Runtime.gpu_partition t.ctx from_pe)
+      (fun proc ->
+        let rec next () =
+          let at = step t d in
+          match d.stage with
+          | Done -> E.Sync.Flag.add t.pending.(from_pe) (-1)
+          | Hold | Start | Wire | Landed | Signal ->
+            E.Engine.sleep_until t.eng proc at next
+        in
+        next ())
+  in
+  ()
+
+(* A waiter's replay of a lost delivery: the same stages, driven by
+   blocking delays of the waiter's own process, on a copy of the dropped
+   record — the dropped delivery's own process may not have run yet when
+   a waiter replays it in the same instant. *)
+let replay t lost () =
+  let d = { lost with stage = Start; resend = true } in
+  while d.stage <> Done do
+    let at = step t d in
+    if d.stage <> Done then E.Engine.delay t.eng (Time.sub at (E.Engine.now t.eng))
+  done
 
 (* The fate of the sender's next delivery, drawn (deterministically, in the
    sender's program order) at issue time. *)
@@ -248,92 +320,77 @@ let sender_dead t ~pe =
     F.has_failstop spec && F.dead spec ~pe ~now:(E.Engine.now t.eng)
 
 (* Issue a delivery according to its fate: now, after an extra delay, or
-   never. [deliver wire_label] is the delivery, its wire span labelled
-   [wire_label]: [label] when it runs as issued, [resend_label ()] when a
-   waiter replays it with blocking delays. A dropped delivery still drains
-   the sender's queue slot (so quiet on an unrelated path does not hang
-   forever on a ghost op) and is filed for retransmission by whoever waits
-   on what it carried: the destination flag's resilient waiter for a
-   put+signal, the sender's [quiet] fence for a plain put. *)
-let dispatch t ~from_pe ~to_pe ~name ~label ~resend_label ~signal_after deliver =
-  match draw_fate t ~from_pe with
-  | F.Deliver -> deliver_async t ~from_pe ~label:name (deliver label)
-  | F.Delayed d ->
-    deliver_async t ~from_pe ~label:name (fun sleep k ->
-        sleep (Time.add (E.Engine.now t.eng) d) (fun () -> deliver label sleep k))
+   never. A dropped delivery still drains the sender's queue slot (so
+   quiet on an unrelated path does not hang forever on a ghost op) and is
+   filed for retransmission by whoever waits on what it carried: the
+   destination flag's resilient waiter for a put+signal, the sender's
+   [quiet] fence for a plain put. *)
+let dispatch t d =
+  match draw_fate t ~from_pe:d.d_from with
+  | F.Deliver -> deliver_async t d
+  | F.Delayed hold ->
+    d.stage <- Hold;
+    d.hold <- hold;
+    deliver_async t d
   | F.Dropped ->
     bump t (fun o -> o.m_drops);
-    mark_fault t ~pe:from_pe ~label:("fault:drop:" ^ label);
+    mark_fault t ~pe:d.d_from ~label:("fault:drop:" ^ flow_label d.kind);
     let key =
-      match signal_after with
-      | Some (sig_var, _, _) -> sig_key sig_var ~to_pe
-      | None -> put_key ~from_pe
+      match d.kind with
+      | Put_signal -> sig_key d.sig_var ~to_pe:d.d_to
+      | Put | Iput -> put_key ~from_pe:d.d_from
     in
-    let resend = deliver (resend_label ()) in
-    F.record_lost (Option.get t.faults) ~key (fun () -> resend (blocking_sleep t) ignore);
-    deliver_async t ~from_pe ~label:name (fun _ k -> k ())
+    F.record_lost (Option.get t.faults) ~key (replay t d);
+    d.stage <- Done;
+    deliver_async t d
 
-let put_common t ~from_pe ~to_pe ~bytes ~label ~commit ~signal_after =
-  check_pe t from_pe "put";
-  check_pe t to_pe "put";
-  if sender_dead t ~pe:from_pe then ()
-  else begin
-  E.Engine.delay t.eng (issue_overhead t);
-  note_put t ~from_pe ~bytes;
-  let fc = flow_ctx t ~from_pe in
-  dispatch t ~from_pe ~to_pe ~name:label ~label
-    ~resend_label:(fun () -> label ^ ".resend")
-    ~signal_after
-    (fun wire_label ->
-      with_flow t fc ~to_pe ~label
-        (delivery t ~from_pe ~to_pe ~bytes ~label:wire_label ~commit ~signal_after))
+let no_signal = { glabel = ""; flags = [||] }
+
+(* Issue a device-initiated put of [count] elements: checks, the sender's
+   issue overhead and counters, then the delivery. *)
+let put t ~kind ~op ~from_pe ~to_pe ~src ~src_pos ~src_stride ~dst ~dst_pos ~dst_stride ~count
+    ~sig_var ~sig_op ~sig_value =
+  check_pe t from_pe op;
+  check_pe t to_pe op;
+  if not (sender_dead t ~pe:from_pe) then begin
+    E.Engine.delay t.eng (issue_overhead t);
+    note_put t ~from_pe ~bytes:(count * G.Buffer.elem_bytes);
+    dispatch t
+      {
+        kind;
+        d_from = from_pe;
+        d_to = to_pe;
+        src;
+        src_pos;
+        src_stride;
+        dst = local dst ~pe:to_pe;
+        dst_pos;
+        dst_stride;
+        count;
+        sig_var;
+        sig_op;
+        sig_value;
+        flow = flow_ctx t ~from_pe;
+        stage = Start;
+        hold = Time.zero;
+        resend = false;
+        d0 = Time.zero;
+        w0 = Time.zero;
+      }
   end
 
 let putmem_nbi t ~from_pe ~to_pe ~src ~src_pos ~dst ~dst_pos ~len =
-  let dst_buf = local dst ~pe:to_pe in
-  put_common t ~from_pe ~to_pe
-    ~bytes:(len * G.Buffer.elem_bytes)
-    ~label:"putmem_nbi"
-    ~commit:(fun () -> G.Buffer.blit ~src ~src_pos ~dst:dst_buf ~dst_pos ~len)
-    ~signal_after:None
+  put t ~kind:Put ~op:"put" ~from_pe ~to_pe ~src ~src_pos ~src_stride:1 ~dst ~dst_pos
+    ~dst_stride:1 ~count:len ~sig_var:no_signal ~sig_op:Signal_add ~sig_value:0
 
 let putmem_signal_nbi t ~from_pe ~to_pe ~src ~src_pos ~dst ~dst_pos ~len ~sig_var ~sig_op
     ~sig_value =
-  let dst_buf = local dst ~pe:to_pe in
-  put_common t ~from_pe ~to_pe
-    ~bytes:(len * G.Buffer.elem_bytes)
-    ~label:"putmem_signal_nbi"
-    ~commit:(fun () -> G.Buffer.blit ~src ~src_pos ~dst:dst_buf ~dst_pos ~len)
-    ~signal_after:(Some (sig_var, sig_op, sig_value))
+  put t ~kind:Put_signal ~op:"put" ~from_pe ~to_pe ~src ~src_pos ~src_stride:1 ~dst ~dst_pos
+    ~dst_stride:1 ~count:len ~sig_var ~sig_op ~sig_value
 
 let iput_nbi t ~from_pe ~to_pe ~src ~src_pos ~src_stride ~dst ~dst_pos ~dst_stride ~count =
-  check_pe t from_pe "iput";
-  check_pe t to_pe "iput";
-  if sender_dead t ~pe:from_pe then ()
-  else begin
-  E.Engine.delay t.eng (issue_overhead t);
-  note_put t ~from_pe ~bytes:(count * G.Buffer.elem_bytes);
-  let a = arch t in
-  let dst_buf = local dst ~pe:to_pe in
-  let fc = flow_ctx t ~from_pe in
-  (* Element-wise remote stores: serialization plus a per-element
-     non-coalescing penalty on top of the port booking. A replay keeps the
-     "iput" wire label. *)
-  dispatch t ~from_pe ~to_pe ~name:"iput_nbi" ~label:"iput"
-    ~resend_label:(fun () -> "iput")
-    ~signal_after:None
-    (fun wire_label ->
-      with_flow t fc ~to_pe ~label:"iput" (fun sleep k ->
-          sleep
-            (Time.add (E.Engine.now t.eng)
-               (Time.scale a.G.Arch.nvshmem_strided_elem (float_of_int count)))
-            (fun () ->
-              wire t ~from_pe ~to_pe ~bytes:(count * G.Buffer.elem_bytes) ~label:wire_label
-                sleep (fun () ->
-                  G.Buffer.blit_strided ~src ~src_pos ~src_stride ~dst:dst_buf ~dst_pos
-                    ~dst_stride ~count;
-                  k ()))))
-  end
+  put t ~kind:Iput ~op:"iput" ~from_pe ~to_pe ~src ~src_pos ~src_stride ~dst ~dst_pos ~dst_stride
+    ~count ~sig_var:no_signal ~sig_op:Signal_add ~sig_value:0
 
 let p t ~from_pe ~to_pe ~value ~dst ~dst_pos =
   check_pe t from_pe "p";

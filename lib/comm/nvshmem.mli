@@ -10,7 +10,17 @@
     Non-blocking ([_nbi]) operations return after issue; remote delivery
     (data first, then any attached signal, preserving NVSHMEM's
     data-before-signal ordering) happens asynchronously and {!quiet} waits
-    for all of the calling PE's outstanding deliveries. *)
+    for all of the calling PE's outstanding deliveries.
+
+    Every put kind ({!putmem_nbi}, {!putmem_signal_nbi}, {!iput_nbi}) issues
+    one delivery record: its endpoints, buffers, offsets, stride, signal,
+    fault fate, flow context and stage. One step function advances the
+    record — fault hold, strided penalty, wire booking, data commit, signal
+    — and returns the time the next stage is due. An issued delivery runs
+    as a stackless engine process (one event per stage); a resilient wait
+    or {!quiet} replaying a lost one steps a copy of its record with
+    blocking delays of the waiter, so a replay costs the same simulated
+    time. *)
 
 type t
 

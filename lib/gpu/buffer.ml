@@ -46,20 +46,6 @@ let check_range t pos len op =
     invalid_arg
       (Printf.sprintf "Buffer.%s: range %d+%d out of bounds for %s[%d]" op pos len t.label t.elems)
 
-let fold_range t ~pos ~len f init =
-  check_range t pos len "fold_range";
-  let acc = ref init in
-  (match t.data with
-  | None ->
-    for _ = 1 to len do
-      acc := f !acc 0.0
-    done
-  | Some a ->
-    for i = pos to pos + len - 1 do
-      acc := f !acc (Array.unsafe_get a i)
-    done);
-  !acc
-
 let blit ~src ~src_pos ~dst ~dst_pos ~len =
   check_range src src_pos len "blit";
   check_range dst dst_pos len "blit";

@@ -40,11 +40,6 @@ val fill : t -> float -> unit
 val init : t -> (int -> float) -> unit
 (** No-op on phantom buffers. *)
 
-val fold_range : t -> pos:int -> len:int -> ('a -> float -> 'a) -> 'a -> 'a
-(** [fold_range t ~pos ~len f init] folds [f] over elements [pos] to
-    [pos + len - 1] in index order, with one bounds check for the whole
-    range. A phantom buffer folds over zeros, as {!get} reads them. *)
-
 val blit : src:t -> src_pos:int -> dst:t -> dst_pos:int -> len:int -> unit
 
 val blit_strided :

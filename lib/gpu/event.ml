@@ -12,7 +12,7 @@ let name t = t.ename
 let record t stream =
   t.gen <- t.gen + 1;
   let gen = t.gen in
-  Stream.enqueue stream ~label:(Printf.sprintf "record:%s" t.ename) (fun () ->
+  Stream.enqueue stream (fun () ->
       E.Sync.Flag.set t.flag gen)
 
 let query t = E.Sync.Flag.get t.flag >= t.gen
@@ -20,5 +20,5 @@ let synchronize t = E.Sync.Flag.wait_ge t.flag t.gen
 
 let stream_wait stream t =
   let gen = t.gen in
-  Stream.enqueue stream ~label:(Printf.sprintf "wait:%s" t.ename) (fun () ->
+  Stream.enqueue stream (fun () ->
       E.Sync.Flag.wait_ge t.flag gen)

@@ -110,19 +110,23 @@ let endpoint_of_buffer b =
   let d = Buffer.device b in
   if d = Buffer.host_device then Interconnect.Host else Interconnect.Gpu d
 
-let api t ?(lane = "host") ~label cost =
+(* The span label [label ^ arg] is built only when a trace sink is
+   attached, so an untraced call formats nothing. *)
+let api t ?(lane = "host") ~label ?(arg = "") cost =
   bump t (fun o -> o.m_api_calls);
   let t0 = E.Engine.now t.eng in
   E.Engine.delay t.eng cost;
-  E.Trace.add_opt (E.Engine.trace t.eng) ~lane ~label ~kind:E.Trace.Api ~t0
-    ~t1:(E.Engine.now t.eng)
+  match E.Engine.trace t.eng with
+  | None -> ()
+  | Some tr ->
+    E.Trace.add tr ~lane ~label:(label ^ arg) ~kind:E.Trace.Api ~t0 ~t1:(E.Engine.now t.eng)
 
 let launch t ~stream ~name ?(cost = Time.zero) body =
   let dev = Stream.device stream in
   let cost = scaled_cost t ~gpu:(Device.id dev) cost in
   bump t (fun o -> o.m_launches);
-  api t ~label:(Printf.sprintf "launch:%s" name) t.arch.Arch.kernel_launch;
-  Stream.enqueue stream ~label:name (fun () ->
+  api t ~label:"launch:" ~arg:name t.arch.Arch.kernel_launch;
+  Stream.enqueue stream (fun () ->
       let t0 = E.Engine.now t.eng in
       E.Engine.delay t.eng t.arch.Arch.kernel_teardown;
       E.Engine.delay t.eng cost;
@@ -136,7 +140,7 @@ let memcpy_async t ~stream ~src ~src_pos ~dst ~dst_pos ~len =
   bump t (fun o -> o.m_stream_ops);
   api t ~label:"cudaMemcpyAsync" t.arch.Arch.memcpy_api;
   let src_ep = endpoint_of_buffer src and dst_ep = endpoint_of_buffer dst in
-  Stream.enqueue stream ~label:"memcpy" (fun () ->
+  Stream.enqueue stream (fun () ->
       Interconnect.transfer t.net ~src:src_ep ~dst:dst_ep ~initiator:Interconnect.By_host
         ~bytes:(len * Buffer.elem_bytes)
         ~trace_lane:(Device.lane dev (Stream.name stream))
@@ -145,17 +149,17 @@ let memcpy_async t ~stream ~src ~src_pos ~dst ~dst_pos ~len =
 
 let stream_synchronize t stream =
   bump t (fun o -> o.m_stream_ops);
-  api t ~label:(Printf.sprintf "sync:%s" (Stream.name stream)) t.arch.Arch.stream_sync;
+  api t ~label:"sync:" ~arg:(Stream.name stream) t.arch.Arch.stream_sync;
   Stream.await_idle stream
 
 let event_record t ev stream =
   bump t (fun o -> o.m_stream_ops);
-  api t ~label:(Printf.sprintf "record:%s" (Event.name ev)) t.arch.Arch.event_record;
+  api t ~label:"record:" ~arg:(Event.name ev) t.arch.Arch.event_record;
   Event.record ev stream
 
 let event_synchronize t ev =
   bump t (fun o -> o.m_stream_ops);
-  api t ~label:(Printf.sprintf "eventSync:%s" (Event.name ev)) t.arch.Arch.event_sync;
+  api t ~label:"eventSync:" ~arg:(Event.name ev) t.arch.Arch.event_sync;
   Event.synchronize ev
 
 let stream_wait_event t stream ev =
@@ -174,7 +178,7 @@ let launch_cooperative t ~dev ~name ~blocks ~threads_per_block ~roles =
              (cooperative launch forbids oversubscription)"
             name blocks capacity (Device.id dev)));
   bump t (fun o -> o.m_coop_launches);
-  api t ~label:(Printf.sprintf "coopLaunch:%s" name) t.arch.Arch.coop_launch;
+  api t ~label:"coopLaunch:" ~arg:name t.arch.Arch.coop_launch;
   let grid =
     Coop.make t.eng ~dev ~roles:(List.length roles) ~total_blocks:blocks ~threads_per_block
   in

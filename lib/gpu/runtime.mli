@@ -68,8 +68,10 @@ val lookahead : ctx -> Cpufree_engine.Time.t
 
 val endpoint_of_buffer : Buffer.t -> Interconnect.endpoint
 
-val api : ctx -> ?lane:string -> label:string -> Cpufree_engine.Time.t -> unit
-(** Charge the calling (host) process an API latency, tracing it. *)
+val api : ctx -> ?lane:string -> label:string -> ?arg:string -> Cpufree_engine.Time.t -> unit
+(** Charge the calling (host) process an API latency, tracing it as
+    [label ^ arg] (default [arg] [""]); the label is built only when the
+    engine has a trace sink. *)
 
 val launch :
   ctx -> stream:Stream.t -> name:string -> ?cost:Cpufree_engine.Time.t -> (unit -> unit) -> unit

@@ -1,12 +1,10 @@
 module E = Cpufree_engine
 
-type op = { label : string; body : unit -> unit }
-
 type t = {
   eng : E.Engine.t;
   dev : Device.t;
   sname : string;
-  inbox : op E.Sync.Mailbox.t;
+  inbox : (unit -> unit) E.Sync.Mailbox.t;  (* queued operations *)
   mutable submitted : int;
   done_flag : E.Sync.Flag.t;
 }
@@ -14,7 +12,7 @@ type t = {
 let serve t () =
   let rec loop () =
     let op = E.Sync.Mailbox.recv t.inbox in
-    op.body ();
+    op ();
     E.Sync.Flag.add t.done_flag 1;
     loop ()
   in
@@ -43,9 +41,9 @@ let create ?partition eng ~dev ~name =
 let name t = t.sname
 let device t = t.dev
 
-let enqueue t ?(label = "op") body =
+let enqueue t body =
   t.submitted <- t.submitted + 1;
-  E.Sync.Mailbox.send t.inbox { label; body }
+  E.Sync.Mailbox.send t.inbox body
 
 let enqueued t = t.submitted
 let completed t = E.Sync.Flag.get t.done_flag

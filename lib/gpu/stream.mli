@@ -14,7 +14,7 @@ val create : ?partition:int -> Cpufree_engine.Engine.t -> dev:Device.t -> name:s
 val name : t -> string
 val device : t -> Device.t
 
-val enqueue : t -> ?label:string -> (unit -> unit) -> unit
+val enqueue : t -> (unit -> unit) -> unit
 (** Append an operation. Never blocks the caller. *)
 
 val enqueued : t -> int

@@ -655,6 +655,113 @@ let recovery_tests =
         Array.iter (fun v -> check_float "sum" 4.0 v) results);
   ]
 
+(* --- Faulted and large collectives ---------------------------------------- *)
+
+let fat_tree = Cpufree_machine.Topology.Fat_tree { arity = 4; rails = 2; gpus_per_node = 8 }
+
+(* [rounds] allreduce_sum rounds of seeded contributions on every PE of a
+   [gpus]-PE machine (a fat tree of 8-GPU nodes when [gpus] fills whole
+   nodes, the default single switch otherwise); returns the contributions
+   and each round's per-PE results. *)
+let faulted_rounds ~algorithm ~gpus ~faults ~rounds =
+  let spec = match Fault.of_string faults with Ok s -> s | Error e -> failwith e in
+  let topology = if gpus mod 8 = 0 then Some fat_tree else None in
+  let env = Env.make ?topology ~faults:spec ~fault_seed:7 () in
+  let eng = Engine.create () in
+  let ctx = G.Runtime.create eng ~env ~num_gpus:gpus () in
+  let coll = Collective.create ~algorithm (Nv.init ctx) ~label:"c" in
+  let rng = Random.State.make [| gpus; rounds |] in
+  let vals =
+    Array.init rounds (fun _ -> Array.init gpus (fun _ -> Random.State.float rng 1000.0))
+  in
+  let results = Array.make_matrix rounds gpus nan in
+  for pe = 0 to gpus - 1 do
+    let (_ : Engine.process) =
+      Engine.spawn eng ~name:(Printf.sprintf "pe%d" pe) (fun () ->
+          for r = 0 to rounds - 1 do
+            results.(r).(pe) <- Collective.allreduce_sum coll ~pe vals.(r).(pe)
+          done)
+    in
+    ()
+  done;
+  Engine.run eng;
+  (vals, results)
+
+(* Words still live after [f] built its result, beyond what was live before. *)
+let live_words_added f =
+  Gc.full_major ();
+  let w0 = (Gc.quick_stat ()).Gc.live_words in
+  let x = f () in
+  Gc.full_major ();
+  let w1 = (Gc.quick_stat ()).Gc.live_words in
+  ignore (Sys.opaque_identity x);
+  w1 - w0
+
+let at_scale_tests =
+  [
+    (* Under dropped and delayed deliveries a shared arrival counter can be
+       satisfied out of order (a replayed drop arrives after the sender's
+       next message), so no schedule may read its result out of delivered
+       data: every PE must still return the in-order fold, bit for bit. *)
+    Alcotest.test_case "faulted rounds return the in-order fold on every PE" `Quick (fun () ->
+        List.iter
+          (fun faults ->
+            List.iter
+              (fun gpus ->
+                List.iter
+                  (fun algorithm ->
+                    let vals, results = faulted_rounds ~algorithm ~gpus ~faults ~rounds:3 in
+                    Array.iteri
+                      (fun r per_pe ->
+                        let want = Array.fold_left ( +. ) 0.0 vals.(r) in
+                        Array.iteri
+                          (fun pe got ->
+                            if Int64.bits_of_float got <> Int64.bits_of_float want then
+                              Alcotest.failf "%s gpus=%d %s round %d pe%d: %h, want %h" faults
+                                gpus (Collective.algorithm_to_string algorithm) r pe got want)
+                          per_pe)
+                      results)
+                  [ Collective.Dense; Collective.Ring; Collective.Tree; Collective.Doubling ])
+              [ 3; 8; 24 ])
+          [ "drop=0.1"; "delay=0.3@3000"; "drop=0.1,delay=0.2@3000" ]);
+    (* The contribution storage grows with the group, not with n² — a
+       1024-PE group's scratch is its signals plus one shared bank. *)
+    Alcotest.test_case "1024-PE tree collective adds at most 256 live words per PE" `Quick
+      (fun () ->
+        let gpus = 1024 in
+        let eng = Engine.create () in
+        let ctx = G.Runtime.create eng ~env:(Env.make ~topology:fat_tree ()) ~num_gpus:gpus () in
+        let nv = Nv.init ctx in
+        let words =
+          live_words_added (fun () -> Collective.create ~algorithm:Collective.Tree nv ~label:"t")
+        in
+        let per_pe = words / gpus in
+        check_bool (Printf.sprintf "%d live words/PE <= 256" per_pe) true (per_pe <= 256));
+    (* The reduce reads the bank without boxing a float per element. *)
+    Alcotest.test_case "256-PE allreduce_sum round allocates at most 600 words per PE" `Quick
+      (fun () ->
+        let gpus = 256 in
+        let eng = Engine.create () in
+        let ctx = G.Runtime.create eng ~env:(Env.make ~topology:fat_tree ()) ~num_gpus:gpus () in
+        let coll = Collective.create ~algorithm:Collective.Tree (Nv.init ctx) ~label:"t" in
+        let round () =
+          for pe = 0 to gpus - 1 do
+            let (_ : Engine.process) =
+              Engine.spawn eng ~name:"pe" (fun () ->
+                  ignore (Collective.allreduce_sum coll ~pe (float_of_int pe) : float))
+            in
+            ()
+          done;
+          Engine.run eng
+        in
+        (* The warm-up round resolves the routes the measured one reuses. *)
+        round ();
+        let w0 = Gc.minor_words () in
+        round ();
+        let per_pe = (Gc.minor_words () -. w0) /. float_of_int gpus in
+        check_bool (Printf.sprintf "%.0f words/PE <= 600" per_pe) true (per_pe <= 600.0));
+  ]
+
 (* --- Fabric: lazy pair tables -------------------------------------------- *)
 
 let fabric_tests =
@@ -740,5 +847,6 @@ let () =
       ("metrics", metrics_tests);
       ("collective", collective_tests @ algorithm_tests @ comm_props);
       ("recovery", recovery_tests);
+      ("at-scale", at_scale_tests);
       ("fabric", fabric_tests);
     ]

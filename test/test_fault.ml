@@ -338,6 +338,39 @@ let nvshmem_tests =
         check_bool "resent" true (st.Fault.resent >= 1);
         check_bool "retried" true (st.Fault.retried >= 1);
         check_int "registry drained" 0 (Fault.lost_count plan));
+    Alcotest.test_case "a drop replayed in the instant it is issued costs a full delivery" `Quick
+      (fun () ->
+        (* The put issues at the waiter's deadline. A local bump during the
+           sender's issue overhead re-arms that deadline behind the
+           sender's wake, so under [drop_prob = 1.0] the waiter replays the
+           drop before the dropped delivery's own process has run. The
+           replay must still pay the wire and the signal latency: the
+           waiter returns when a delivered put would have let it. *)
+        let timeout = Time.us 5 in
+        let returned spec =
+          let t_ret = ref Time.zero in
+          let (_ : Fault.plan) =
+            with_fault_machine ~spec ~seed:5 (fun eng ctx _plan ->
+                let nv = Nv.init ctx in
+                let s = Nv.sym_malloc nv ~label:"x" 4 in
+                let sg = Nv.signal_malloc nv ~label:"sig" () in
+                let overhead = (G.Runtime.arch ctx).G.Arch.nvshmem_put_overhead in
+                let spawn name f = ignore (Engine.spawn eng ~name f : Engine.process) in
+                spawn "sender" (fun () ->
+                    Engine.delay eng (Time.sub timeout overhead);
+                    Nv.putmem_signal_nbi nv ~from_pe:0 ~to_pe:1 ~src:(Nv.local s ~pe:0)
+                      ~src_pos:0 ~dst:s ~dst_pos:0 ~len:2 ~sig_var:sg ~sig_op:Nv.Signal_add
+                      ~sig_value:1);
+                spawn "bump" (fun () ->
+                    Engine.delay eng (Time.sub timeout (Time.scale overhead 0.5));
+                    Nv.signal_bump nv ~pe:1 ~sig_var:sg 1);
+                Nv.signal_wait_ge nv ~pe:1 ~sig_var:sg 2;
+                t_ret := Engine.now eng)
+          in
+          Time.to_ns !t_ret
+        in
+        check_int "replay time" (returned { Fault.none with Fault.retry_timeout = timeout })
+          (returned { Fault.none with Fault.drop_prob = 1.0; Fault.retry_timeout = timeout }));
     Alcotest.test_case "dropped plain put is retransmitted by quiet" `Quick (fun () ->
         let spec = { Fault.none with Fault.drop_prob = 1.0 } in
         let plan =

@@ -90,17 +90,6 @@ let buffer_tests =
         Alcotest.check_raises "range"
           (Invalid_argument "Buffer.blit: range 4+2 out of bounds for a[5]") (fun () ->
             G.Buffer.blit ~src:a ~src_pos:4 ~dst:a ~dst_pos:0 ~len:2));
-    Alcotest.test_case "fold_range folds a checked range in index order" `Quick (fun () ->
-        let a = G.Buffer.create ~device:0 ~label:"a" 5 in
-        G.Buffer.init a float_of_int;
-        check (Alcotest.list (Alcotest.float 0.0)) "order" [ 3.0; 2.0; 1.0 ]
-          (G.Buffer.fold_range a ~pos:1 ~len:3 (fun acc x -> x :: acc) []);
-        let ph = G.Buffer.create ~phantom:true ~device:0 ~label:"p" 5 in
-        check Alcotest.int "phantom reads zeros" 2
-          (G.Buffer.fold_range ph ~pos:3 ~len:2 (fun n x -> if x = 0.0 then n + 1 else n) 0);
-        Alcotest.check_raises "range"
-          (Invalid_argument "Buffer.fold_range: range 4+2 out of bounds for a[5]") (fun () ->
-            ignore (G.Buffer.fold_range a ~pos:4 ~len:2 ( +. ) 0.0 : float)));
     Alcotest.test_case "strided blit gathers columns" `Quick (fun () ->
         (* 3x3 row-major: copy column 1 into a contiguous run. *)
         let a = G.Buffer.create ~device:0 ~label:"a" 9 in
