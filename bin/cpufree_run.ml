@@ -92,9 +92,8 @@ let metrics_out_arg =
 
 let pdes_arg =
   let doc =
-    "PDES driver: seq (the sequential event loop, the reference) or windowed (conservative \
-     time windows; a model that does not promise partition isolation runs the sequential \
-     loop). Overrides the CPUFREE_PDES variable; both drivers produce bit-identical results."
+    "Execution mode: seq (also spelled sequential), the one discrete-event driver. \
+     Overrides the CPUFREE_PDES variable; any other mode name exits 2."
   in
   Arg.(value & opt (some string) None & info [ "pdes" ] ~docv:"MODE" ~doc)
 
@@ -430,8 +429,8 @@ let specialize_arg =
   Arg.(value & flag & info [ "specialize-tb" ] ~doc)
 
 (* dace --auto: the generic pass end to end. Search under a quiet probe of
-   the same topology (the probe pins the PDES mode, so the choice is the
-   same whatever --pdes says), report every candidate and the margin over
+   the same topology (the probe pins the mode, so the choice is the same
+   whatever --pdes says), report every candidate and the margin over
    the hand-built pipeline, then execute the winner under the full
    environment. *)
 let run_dace_auto common iters app_name arm size specialize_tb timeline chrome =

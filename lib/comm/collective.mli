@@ -65,8 +65,8 @@ val rounds : t -> pe:int -> int
     Under a fault plan with fail-stop clauses the waits inside a schedule
     are resilient; a timeout against a peer whose scheduled death has
     passed diagnoses the kill, and the group {e shrinks}: survivors agree
-    on the new membership (derived from the kill schedule at virtual now
-    — deterministic under every [CPUFREE_PDES] driver), rebuild the
+    on the new membership (derived from the kill schedule at virtual now,
+    so deterministic), rebuild the
     dense/ring/tree/doubling schedule over the survivor set on fresh
     signals and a fresh contribution bank, and redo the failed round,
     completing the reduction over survivors only. Supported when the dead

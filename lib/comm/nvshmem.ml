@@ -10,7 +10,7 @@ type signal_op = Signal_set | Signal_add
 
 (* Metrics instruments (when the runtime context carries a registry):
    per-source-PE put/byte counters plus run totals for signal traffic,
-   blocked-wait time and fault-path events, sharded per engine partition. *)
+   blocked-wait time and fault-path events. *)
 type instr = {
   m_puts : Mx.Counter.h array; (* indexed by source PE *)
   m_put_bytes : Mx.Counter.h array;
@@ -41,21 +41,20 @@ let init ctx =
     match G.Runtime.metrics ctx with
     | None -> None
     | Some reg ->
-      let slots = E.Engine.num_partitions eng in
       let per_pe name =
         Array.init n (fun pe ->
-            Mx.counter reg ~name ~labels:[ ("pe", string_of_int pe) ] ~slots ())
+            Mx.counter reg ~name ~labels:[ ("pe", string_of_int pe) ] ())
       in
       Some
         {
           m_puts = per_pe "nvshmem.puts";
           m_put_bytes = per_pe "nvshmem.put_bytes";
-          m_signal_ops = Mx.counter reg ~name:"nvshmem.signal_ops" ~slots ();
-          m_signal_waits = Mx.counter reg ~name:"nvshmem.signal_waits" ~slots ();
-          m_wait_blocked = Mx.histogram reg ~name:"nvshmem.wait_blocked_ns" ~slots ();
-          m_retries = Mx.counter reg ~name:"nvshmem.retries" ~slots ();
-          m_resends = Mx.counter reg ~name:"nvshmem.resends" ~slots ();
-          m_drops = Mx.counter reg ~name:"nvshmem.drops" ~slots ();
+          m_signal_ops = Mx.counter reg ~name:"nvshmem.signal_ops" ();
+          m_signal_waits = Mx.counter reg ~name:"nvshmem.signal_waits" ();
+          m_wait_blocked = Mx.histogram reg ~name:"nvshmem.wait_blocked_ns" ();
+          m_retries = Mx.counter reg ~name:"nvshmem.retries" ();
+          m_resends = Mx.counter reg ~name:"nvshmem.resends" ();
+          m_drops = Mx.counter reg ~name:"nvshmem.drops" ();
         }
   in
   {
@@ -70,21 +69,17 @@ let init ctx =
     next_op = 0;
   }
 
-let slot t = E.Engine.current_partition t.eng
-
-let bump t sel =
-  match t.obs with None -> () | Some o -> Mx.Counter.incr ~slot:(slot t) (sel o)
+let bump t sel = match t.obs with None -> () | Some o -> Mx.Counter.incr (sel o)
 
 let note_put t ~from_pe ~bytes =
   match t.obs with
   | None -> ()
   | Some o ->
-    let s = slot t in
-    Mx.Counter.incr ~slot:s o.m_puts.(from_pe);
-    Mx.Counter.add ~slot:s o.m_put_bytes.(from_pe) bytes
+    Mx.Counter.incr o.m_puts.(from_pe);
+    Mx.Counter.add o.m_put_bytes.(from_pe) bytes
 
 let count_resends t k =
-  match t.obs with None -> () | Some o -> Mx.Counter.add ~slot:(slot t) o.m_resends k
+  match t.obs with None -> () | Some o -> Mx.Counter.add o.m_resends k
 
 (* Lost-delivery registry keys: a dropped put+signal is filed under the
    destination flag instance its arrival would have raised (that flag's
@@ -277,7 +272,6 @@ let deliver_async t d =
   let (_ : E.Engine.process) =
     E.Engine.spawn_stackless t.eng
       ~lazy_name:(fun () -> Printf.sprintf "nvshmem.%s.pe%d.%d" (proc_label d.kind) from_pe op)
-      ~partition:(G.Runtime.gpu_partition t.ctx from_pe)
       (fun proc ->
         let rec next () =
           let at = step t d in
@@ -310,8 +304,8 @@ let draw_fate t ~from_pe =
    PE initiates nothing — its puts and signal updates are suppressed before
    any cost, fate draw or registry entry, so to every peer it simply goes
    silent (the resilient waiter diagnoses it from the schedule). A pure
-   function of (spec, now), hence identical under every PDES driver; false
-   without fail-stop clauses, keeping those runs byte-identical. *)
+   function of (spec, now); false without fail-stop clauses, keeping those
+   runs byte-identical. *)
 let sender_dead t ~pe =
   match t.faults with
   | None -> false
@@ -490,8 +484,8 @@ let resilient_wait t ~pe ~waits_on ~plan ~sig_var pred =
            fail-stop schedule: a peer whose death has passed will never
            supply this signal, so retrying is futile — diagnose the kill
            instead. The check is a pure function of (spec, now), making
-           the detection round identical under every PDES driver; without
-           fail-stop clauses it is compiled out of the path entirely. *)
+           the detection round deterministic; without fail-stop clauses it
+           is compiled out of the path entirely. *)
         match
           if F.has_failstop spec then F.killed_by spec ~now:(E.Engine.now t.eng) else []
         with
@@ -547,7 +541,7 @@ let signal_wait_until t ?expect_from ~pe ~sig_var pred =
     match t.obs with
     | None -> ()
     | Some o ->
-      Mx.Histogram.observe ~slot:(slot t) o.m_wait_blocked
+      Mx.Histogram.observe o.m_wait_blocked
         (Time.to_ns (Time.sub (E.Engine.now t.eng) t0))
   end
 

@@ -29,18 +29,11 @@ let measure ~label ~gpus ~iterations eng ctx trace =
     bytes_moved = G.Interconnect.bytes_moved (G.Runtime.net ctx);
   }
 
-let drive mode eng ctx =
-  match mode with
-  | `Seq -> E.Engine.run eng
-  | `Windowed ->
-    (* The figure models share flags and resources across devices, so they do
-       not declare [~isolated] and this resolves to the sequential driver on a
-       partitioned engine — same global event order, bit-identical output.
-       Isolated models (e.g. {!Microbench}) take the parallel path. *)
-    let (_ : E.Engine.outcome) =
-      E.Engine.run_windowed ~lookahead:(G.Runtime.lookahead ctx) eng
-    in
-    ()
+(* The one driver. Resolving the mode still reads [CPUFREE_PDES] when the
+   environment leaves it open, so a removed mode name fails loudly. *)
+let engine ?watchdog env trace =
+  let (`Seq : Obs.Sim_env.pdes) = Obs.Sim_env.resolve_pdes env in
+  E.Engine.create ~trace ?watchdog ()
 
 (* End-of-run observability hand-off: merge the engine's trace into the
    environment's sink (spans and flows, canonically ordered) and fold the
@@ -55,27 +48,26 @@ let publish env eng trace =
   | Some reg ->
     let c name v = Mx.Counter.add (Mx.counter reg ~name ()) v in
     c "engine.events" (E.Engine.events_executed eng);
-    c "engine.windows" (E.Engine.windows_executed eng);
+    (* engine.windows = 0 and engine.partitions = 1 describe the one
+       sequential driver. They stay so metrics captures remain
+       byte-identical and the repository benchmark, which still sums
+       engine.windows, reads 0. *)
+    c "engine.windows" 0;
     c "engine.stall_scans" (E.Engine.stall_scans eng);
-    Mx.Gauge.set (Mx.gauge reg ~name:"engine.partitions" ()) (E.Engine.num_partitions eng)
+    Mx.Gauge.set (Mx.gauge reg ~name:"engine.partitions" ()) 1
 
 (* Shared run core: engine + runtime context from the environment, program as
-   the "main" process, sequential or windowed drive, then measurement. The
+   the "main" process, run, then measurement. The
    engine's own trace doubles as the comm-accounting source; it records flow
    arrows only when the environment's sink does, so legacy runs (no sink, or
    a sink without flows) stay byte-identical. *)
 let run_core ?arch ~env ~label ~gpus ~iterations program =
-  let mode = Obs.Sim_env.resolve_pdes env in
   let flows = E.Trace.flows_enabled env.Obs.Sim_env.trace in
   let trace = E.Trace.create ~flows () in
-  let eng =
-    match mode with
-    | `Seq -> E.Engine.create ~trace ()
-    | `Windowed -> E.Engine.create ~trace ~partitions:(gpus + 1) ()
-  in
+  let eng = engine env trace in
   let ctx = G.Runtime.create eng ?arch ~env ~num_gpus:gpus () in
   let (_ : E.Engine.process) = E.Engine.spawn eng ~name:"main" (fun () -> program ctx) in
-  drive mode eng ctx;
+  E.Engine.run eng;
   let r = measure ~label ~gpus ~iterations eng ctx trace in
   publish env eng trace;
   (r, trace)
@@ -119,16 +111,6 @@ let run_chaos_env ?arch ?watchdog ?(env = Obs.Sim_env.default) ~label ~gpus ~ite
     | Some s -> s
     | None -> invalid_arg "Measure.run_chaos_env: env carries no fault spec"
   in
-  let mode = Obs.Sim_env.resolve_pdes env in
-  (* Scheduled fabric deaths (linkfail/switchfail) mutate the shared
-     topology mid-run; a partitioned driver could observe the mutation in
-     wall-clock rather than virtual-time order. Those runs honestly degrade
-     to the sequential driver — same simulated output, only the driver
-     differs. GPU kills mutate nothing (suppression and detection are pure
-     functions of virtual time), so they run under both drivers. *)
-  let mode =
-    if spec.F.link_fails <> [] || spec.F.switch_fails <> [] then `Seq else mode
-  in
   let watchdog =
     match watchdog with
     | Some w -> w
@@ -136,11 +118,7 @@ let run_chaos_env ?arch ?watchdog ?(env = Obs.Sim_env.default) ~label ~gpus ~ite
   in
   let flows = E.Trace.flows_enabled env.Obs.Sim_env.trace in
   let trace = E.Trace.create ~flows () in
-  let eng =
-    match mode with
-    | `Seq -> E.Engine.create ~trace ~watchdog ()
-    | `Windowed -> E.Engine.create ~trace ~partitions:(gpus + 1) ~watchdog ()
-  in
+  let eng = engine ~watchdog env trace in
   let ctx = G.Runtime.create eng ?arch ~env ~num_gpus:gpus () in
   let plan =
     match G.Runtime.faults ctx with
@@ -149,7 +127,7 @@ let run_chaos_env ?arch ?watchdog ?(env = Obs.Sim_env.default) ~label ~gpus ~ite
   in
   let (_ : E.Engine.process) = E.Engine.spawn eng ~name:"main" (fun () -> program ctx) in
   let completed, failure, trigger =
-    match drive mode eng ctx with
+    match E.Engine.run eng with
     | () -> (true, [], None)
     | exception E.Engine.Stall report ->
       if flows then

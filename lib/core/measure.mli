@@ -3,7 +3,7 @@
 
     The canonical entry points ([run_env], [run_chaos_env]) take a
     {!Cpufree_obs.Sim_env.t} bundling topology, fault plan, observability
-    sinks and PDES mode; {!of_scenario} builds that environment (plus the
+    sinks and execution mode; {!of_scenario} builds that environment (plus the
     resolved architecture and GPU count) from a first-class {!Scenario.t},
     so the CLI and the serving daemon drive runs through one path. *)
 
@@ -24,17 +24,21 @@ val run_env :
   label:string -> gpus:int -> iterations:int ->
   (Cpufree_gpu.Runtime.ctx -> unit) -> result
 (** Create an engine, a runtime context with [gpus] devices arranged per
-    [env] (topology, fault plan, observability, PDES mode — default
-    {!Cpufree_obs.Sim_env.default}: NVSwitch HGX, no faults, no sinks, mode
-    from [CPUFREE_PDES]), run the given host program as the "main" process
-    to completion, and measure. Deterministic.
+    [env] (topology, fault plan, observability — default
+    {!Cpufree_obs.Sim_env.default}: NVSwitch HGX, no faults, no sinks), run
+    the given host program as the "main" process to completion, and
+    measure. Deterministic.
+
+    @raise Invalid_argument when the mode is left to [CPUFREE_PDES] and that
+    names no valid mode.
 
     When [env.trace] is set, the run's spans (and, if the sink was created
     with [~flows:true], put→delivery flow arrows and fault instant markers)
     are merged into it in canonical order. When [env.metrics] is set, the
     simulated layers register and update instruments in it and the engine's
-    own counters ([engine.events], [engine.windows], [engine.stall_scans],
-    [engine.partitions]) are folded in at the end. With neither set the run
+    own counters ([engine.events], [engine.stall_scans], plus the constants
+    [engine.windows] = 0 and [engine.partitions] = 1 that keep metrics
+    captures byte-identical) are folded in at the end. With neither set the run
     is byte-identical to the legacy path. Note that a flow-enabled sink adds
     remote-delivery spans on destination lanes, which participate in the
     comm/overlap accounting of the returned {!result}. *)
@@ -55,10 +59,9 @@ val probe_env :
   (Cpufree_gpu.Runtime.ctx -> unit) -> Cpufree_engine.Time.t
 (** Cheap cost probe for candidate evaluation (the autotuner's oracle): run
     the program under {!Cpufree_obs.Sim_env.probe}[ env] — observability
-    sinks and fault plan stripped, PDES mode pinned to [`Windowed] —
-    and return only the simulated wall-clock. Because the mode is pinned and
-    the drivers are bit-identical, the returned cost does not depend on the
-    ambient [CPUFREE_PDES], so searches ranked by it are deterministic. *)
+    sinks and fault plan stripped, mode pinned to [`Seq] — and return only
+    the simulated wall-clock. The pin means a probe never reads the ambient
+    [CPUFREE_PDES]. *)
 
 type run_spec = {
   rs_arch : Cpufree_gpu.Arch.t;  (** resolved device architecture *)
@@ -107,7 +110,7 @@ val run_chaos_env :
     abort is marked with a [stall:] instant on the host lane of a
     flow-enabled sink, and fault-path totals ([fault.dropped] etc.) are
     folded into [env.metrics]. Bit-identical across repeats for a fixed
-    [env.fault_seed] in both [CPUFREE_PDES] modes.
+    [env.fault_seed].
 
     @raise Invalid_argument when [env.faults] is [None]. *)
 

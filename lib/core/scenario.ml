@@ -328,9 +328,9 @@ let of_json_string s =
 
 (* --- content identity ----------------------------------------------------- *)
 
-(* The cache key's preimage. The PDES mode is normalized away (every driver
-   is bit-identical by contract, so requests differing only in [pdes] must
-   share a cache entry); the artifact booleans stay because they change the
+(* The cache key's preimage. The execution mode is normalized away (there
+   is one driver, so requests differing only in [pdes] must share a cache
+   entry); the artifact booleans stay because they change the
    response payload. The environment contributes through Sim_env.digest of
    the sink-free, mode-free environment — the "(scenario, env)" identity. *)
 let canonical_string t =

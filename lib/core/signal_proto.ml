@@ -1,4 +1,4 @@
-module Nv = Nvshmem_alias
+module Nv = Cpufree_comm.Nvshmem
 
 type dir = Up | Down
 

@@ -1,7 +1,5 @@
-(** Re-export of {!Cpufree_obs.Sim_env}: the unified simulation environment
-    the core entry points ({!Measure} and everything above it) accept as
-    [?env]. Build one with {!make} and thread it instead of separate
-    [?topology]/[?faults]/[?trace] arguments. *)
+(** Re-export of {!Cpufree_obs.Sim_env}, kept because the repository
+    benchmark names it [Cpufree_core.Sim_env]. *)
 
 include module type of struct
   include Cpufree_obs.Sim_env

@@ -44,7 +44,7 @@ val run_env :
   ?arch:Cpufree_gpu.Arch.t -> ?env:Cpufree_obs.Sim_env.t ->
   app -> arm -> gpus:int -> Cpufree_core.Measure.result
 (** Compile (phantom buffers) and execute on the simulated machine under
-    [env] (topology, fault plan, observability sinks, PDES mode — default
+    [env] (topology, fault plan, observability sinks — default
     {!Cpufree_obs.Sim_env.default}), via {!Cpufree_core.Measure.run_env}. *)
 
 val run_traced_env :

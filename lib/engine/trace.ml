@@ -157,8 +157,7 @@ let rank_of_kind = function
   | Marker -> 5
 
 (* Canonical span order: by interval, then lane, label and kind. Recording
-   order is a scheduling artifact (it differs between the sequential and the
-   windowed engine drivers), the canonical order is not. *)
+   order is a scheduling artifact, the canonical order is not. *)
 let compare_span a b =
   let c = Time.compare a.t0 b.t0 in
   if c <> 0 then c

@@ -80,13 +80,13 @@ val compare_span : span -> span -> int
 
 val sorted_spans : t -> span list
 (** All spans in canonical {!compare_span} order — the representation to use
-    when comparing traces across engine execution modes. *)
+    when comparing traces whose recording order may differ. *)
 
 val merge_into : into:t -> t list -> unit
 (** Append every span of [sources] to [into] in canonical order, and every
-    flow arrow in canonical {!compare_flow} order. Used by the windowed
-    engine driver to fold partition-local traces into the main sink
-    deterministically, independent of worker count and window schedule. *)
+    flow arrow in canonical {!compare_flow} order. {!Cpufree_core.Measure}
+    uses it to hand a run's trace to the environment's sink, so a sink
+    that collects several runs holds them in one deterministic order. *)
 
 val lanes : t -> string list
 (** Distinct lanes, sorted. *)

@@ -79,14 +79,6 @@ val of_name : string -> t option
 val co_resident_blocks : t -> int
 (** Maximum grid size for a cooperative (persistent) launch. *)
 
-val lookahead_bound : t -> Engine_time.t
-(** Minimum latency of any cross-device or host<->device interaction: the
-    cheapest link latency plus the cheapest initiation cost. This is the
-    conservative window width ("lookahead") for partitioned simulation —
-    within a window this wide, one device cannot affect another. Zero when
-    the architecture models free signalling, in which case windowed execution
-    falls back to sequential. *)
-
 val fabric_profile : t -> Cpufree_machine.Topology.profile
 (** The architecture's link numbers as a topology-layer profile, ready to
     instantiate a machine graph. The profile's short name is the {!by_name}

@@ -1,6 +1,4 @@
-(* [lanes] memoises the lane names built so far, newest first. Partitions
-   running on other domains may race on it: the list is immutable, so a
-   racer sees either list and at worst builds a name twice. *)
+(* [lanes] memoises the lane names built so far, newest first. *)
 type t = {
   id : int;
   arch : Arch.t;

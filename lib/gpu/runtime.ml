@@ -20,7 +20,6 @@ type ctx = {
   n : int;
   net : Interconnect.t;
   devices : Device.t array;
-  partitioned : bool;
   faults : F.plan option;
   metrics : Mx.t option;
   obs : instr option;
@@ -28,14 +27,13 @@ type ctx = {
 
 exception Coop_launch_error of string
 
-let build eng ~arch ?topology ?faults ?metrics ~partitioned ~num_gpus () =
+let build eng ~arch ?topology ?faults ?metrics ~num_gpus () =
   if num_gpus <= 0 then invalid_arg "Runtime.create: need at least one GPU";
   let obs =
     match metrics with
     | None -> None
     | Some reg ->
-      let slots = E.Engine.num_partitions eng in
-      let c name = Mx.counter reg ~name ~slots () in
+      let c name = Mx.counter reg ~name () in
       Some
         {
           m_api_calls = c "runtime.api_calls";
@@ -50,7 +48,6 @@ let build eng ~arch ?topology ?faults ?metrics ~partitioned ~num_gpus () =
     n = num_gpus;
     net = Interconnect.create ?topology ?faults ?metrics eng ~arch ~num_gpus;
     devices = Array.init num_gpus (fun id -> Device.create eng ~arch ~id);
-    partitioned;
     faults;
     metrics;
     obs;
@@ -63,14 +60,11 @@ let create eng ?(arch = Arch.a100_hgx) ?(env = Obs.Sim_env.default) ~num_gpus ()
     | Some spec -> Some (F.activate spec ~seed:env.Obs.Sim_env.fault_seed ~gpus:num_gpus)
   in
   build eng ~arch ?topology:env.Obs.Sim_env.topology ?faults
-    ?metrics:env.Obs.Sim_env.metrics
-    ~partitioned:(E.Engine.num_partitions eng > 1)
-    ~num_gpus ()
+    ?metrics:env.Obs.Sim_env.metrics ~num_gpus ()
 
 let engine t = t.eng
 let arch t = t.arch
 let num_gpus t = t.n
-let partitioned t = t.partitioned
 let faults t = t.faults
 let metrics t = t.metrics
 
@@ -80,7 +74,7 @@ let gpu_group g = Printf.sprintf "gpu%d" g
 let bump t c =
   match t.obs with
   | None -> ()
-  | Some o -> Mx.Counter.incr ~slot:(E.Engine.current_partition t.eng) (c o)
+  | Some o -> Mx.Counter.incr (c o)
 
 (* Straggler multiplier on device [gpu]'s compute latencies (1.0 when the
    fault plan is absent or silent about the device). Callers scale costs
@@ -93,12 +87,6 @@ let scaled_cost t ~gpu cost =
   | Some p ->
     let s = F.compute_scale p ~gpu in
     if Float.equal s 1.0 then cost else Time.scale cost s
-
-(* Partition 0 hosts the host threads and the interconnect; device [g] work
-   goes to partition [g + 1] when the context is partitioned, else everything
-   shares partition 0. *)
-let gpu_partition t g = if t.partitioned then g + 1 else 0
-let lookahead t = Interconnect.lookahead t.net
 
 let device t i =
   if i < 0 || i >= t.n then invalid_arg (Printf.sprintf "Runtime.device: no such GPU %d" i);
@@ -190,7 +178,6 @@ let launch_cooperative t ~dev ~name ~blocks ~threads_per_block ~roles =
       let (_ : E.Engine.process) =
         E.Engine.spawn t.eng
           ~lazy_name:(fun () -> Printf.sprintf "%s.gpu%d.%s" name (Device.id dev) role_name)
-          ~partition:(gpu_partition t (Device.id dev))
           ~group:(gpu_group (Device.id dev))
           (fun () ->
             E.Engine.delay t.eng t.arch.Arch.kernel_teardown;

@@ -95,7 +95,6 @@ type structural = {
   stables : tables;
   s_min_gpu : Time.t option;
   s_max_gpu : Time.t option;
-  s_min_hg : Time.t option;
 }
 
 type router = Tables of tables | Structural of structural
@@ -132,7 +131,6 @@ type structural_spec = {
   sm_path : int -> int -> int list option;
   sm_min_gpu : Time.t option;
   sm_max_gpu : Time.t option;
-  sm_min_hg : Time.t option;
 }
 
 let default_route_cache = 64
@@ -304,7 +302,6 @@ let build ?structural b ~name ~nodes ~gpu_vid ~host_vid ~gpu_eport ~gpu_iport =
           stables = empty_tables nv;
           s_min_gpu = sm.sm_min_gpu;
           s_max_gpu = sm.sm_max_gpu;
-          s_min_hg = sm.sm_min_hg;
         }
   in
   {
@@ -699,7 +696,7 @@ let fat_tree ~profile:p ~arity ~rails ~nodes ~gpus_per_node =
     else None
   in
   let structural =
-    { sm_path = spath; sm_min_gpu = s_min_gpu; sm_max_gpu = s_max_gpu; sm_min_hg = Some p.pcie_latency }
+    { sm_path = spath; sm_min_gpu = s_min_gpu; sm_max_gpu = s_max_gpu }
   in
   build ~structural b
     ~name:(Printf.sprintf "fattree_%s_%dn_a%d_r%d" p.pname nodes arity rails)
@@ -883,7 +880,6 @@ let dragonfly ~profile:pr ~a ~p ~h ~nodes ~gpus_per_node =
       sm_path = spath;
       sm_min_gpu = s_min_gpu;
       sm_max_gpu = s_max_gpu;
-      sm_min_hg = Some pr.pcie_latency;
     }
   in
   build ~structural b
@@ -1384,25 +1380,6 @@ let max_gpu_pair_latency t =
     fold_pairs g g (fun acc ~src ~dst ->
         let l = route_latency t ~src ~dst in
         match acc with Some m when Time.(m >= l) -> acc | _ -> Some l)
-
-let min_host_gpu_latency t =
-  match t.router with
-  | Structural s -> s.s_min_hg
-  | Tables _ ->
-    let g = Array.to_list t.gpu_vid and h = Array.to_list t.host_vid in
-    let min2 a b =
-      match (a, b) with
-      | Some x, Some y -> Some (Time.min x y)
-      | x, None -> x
-      | None, y -> y
-    in
-    min2
-      (fold_pairs h g (fun acc ~src ~dst ->
-           let l = route_latency t ~src ~dst in
-           match acc with Some m when Time.(m <= l) -> acc | _ -> Some l))
-      (fold_pairs g h (fun acc ~src ~dst ->
-           let l = route_latency t ~src ~dst in
-           match acc with Some m when Time.(m <= l) -> acc | _ -> Some l))
 
 let string_of_link_kind = function
   | Nvlink -> "nvlink"

@@ -15,8 +15,7 @@
     FIFO cache ({!set_route_cache}). The Dijkstra is deterministic (ties
     broken by hop count, then link id) and a recomputed row is identical to
     an evicted one, so cache size never changes any route; resolution is
-    mutex-guarded, so concurrent domains (the windowed PDES drivers) may
-    query freely.
+    mutex-guarded, so domains may share one topology.
 
     The single-node HGX constructor reproduces the flat NVSwitch all-to-all
     the paper evaluates on, link for link: a GPU-to-GPU route totals exactly
@@ -202,9 +201,6 @@ val max_gpu_pair_latency : t -> Time.t option
 (** Upper bound on routed GPU-pair latency — exact on table-routed graphs,
     a tier-derived bound on structural ones (every route is guaranteed at or
     under it). *)
-
-val min_host_gpu_latency : t -> Time.t option
-(** Cheapest routed latency of any host-to-GPU or GPU-to-host route. *)
 
 (** {1 Fail-stop degradation}
 

@@ -1,10 +1,5 @@
 type labels = (string * string) list
 
-(* One cell per engine partition so concurrent partitions under the windowed
-   driver bump distinct memory; reads fold the cells with an associative,
-   commutative combine (sum / max), making every observable total independent
-   of the window schedule. *)
-
 let nbuckets = 64
 
 type hcell = {
@@ -15,10 +10,14 @@ type hcell = {
   hbuckets : int array;
 }
 
+(* One mutable cell per instrument. A gauge holds [min_int] until its
+   first [set]. *)
+type cell = { mutable v : int }
+
 type body =
-  | C of int array
-  | G of int array
-  | H of hcell array
+  | C of cell
+  | G of cell
+  | H of hcell
 
 type instrument = { iname : string; ilabels : labels; body : body }
 
@@ -47,14 +46,13 @@ let key name labels =
 
 let kind_name = function C _ -> "counter" | G _ -> "gauge" | H _ -> "histogram"
 
-let register t ~name ~labels ~slots make_body =
-  if slots < 1 then invalid_arg "Metrics: slots must be positive";
+let register t ~name ~labels make_body =
   let labels = sort_labels labels in
   let k = key name labels in
   match Hashtbl.find_opt t.tbl k with
   | Some inst -> inst
   | None ->
-    let inst = { iname = name; ilabels = labels; body = make_body slots } in
+    let inst = { iname = name; ilabels = labels; body = make_body () } in
     Hashtbl.replace t.tbl k inst;
     inst
 
@@ -69,31 +67,21 @@ let want_kind what inst =
 let fresh_hcell () = { hcount = 0; hsum = 0; hmin = 0; hmax = 0; hbuckets = Array.make nbuckets 0 }
 
 module Counter = struct
-  type h = int array
+  type h = cell
 
-  let cell c slot =
-    if slot < 0 || slot >= Array.length c then
-      invalid_arg (Printf.sprintf "Metrics.Counter: no slot %d" slot);
-    slot
+  let add c n =
+    if n < 0 then invalid_arg "Metrics.Counter.add: negative amount";
+    c.v <- c.v + n
 
-  let add ?(slot = 0) c v =
-    if v < 0 then invalid_arg "Metrics.Counter.add: negative amount";
-    let i = cell c slot in
-    c.(i) <- c.(i) + v
-
-  let incr ?slot c = add ?slot c 1
-  let value c = Array.fold_left ( + ) 0 c
+  let incr c = c.v <- c.v + 1
+  let value c = c.v
 end
 
 module Gauge = struct
-  type h = int array
+  type h = cell
 
-  let set ?(slot = 0) g v =
-    if slot < 0 || slot >= Array.length g then
-      invalid_arg (Printf.sprintf "Metrics.Gauge: no slot %d" slot);
-    g.(slot) <- v
-
-  let value g = Array.fold_left Stdlib.max min_int g
+  let set g n = g.v <- n
+  let value g = g.v
 end
 
 let bucket_of v =
@@ -104,12 +92,9 @@ let bucket_of v =
   end
 
 module Histogram = struct
-  type h = hcell array
+  type h = hcell
 
-  let observe ?(slot = 0) hs v =
-    if slot < 0 || slot >= Array.length hs then
-      invalid_arg (Printf.sprintf "Metrics.Histogram: no slot %d" slot);
-    let c = hs.(slot) in
+  let observe c v =
     if c.hcount = 0 then begin
       c.hmin <- v;
       c.hmax <- v
@@ -123,24 +108,22 @@ module Histogram = struct
     let b = bucket_of v in
     c.hbuckets.(b) <- c.hbuckets.(b) + 1
 
-  let count hs = Array.fold_left (fun acc c -> acc + c.hcount) 0 hs
-  let sum hs = Array.fold_left (fun acc c -> acc + c.hsum) 0 hs
+  let count c = c.hcount
+  let sum c = c.hsum
 end
 
-let counter t ~name ?(labels = []) ?(slots = 1) () =
-  let inst = register t ~name ~labels ~slots (fun n -> C (Array.make n 0)) in
+let counter t ~name ?(labels = []) () =
+  let inst = register t ~name ~labels (fun () -> C { v = 0 }) in
   want_kind `C inst;
   match inst.body with C c -> c | _ -> assert false
 
-let gauge t ~name ?(labels = []) ?(slots = 1) () =
-  let inst = register t ~name ~labels ~slots (fun n -> G (Array.make n min_int)) in
+let gauge t ~name ?(labels = []) () =
+  let inst = register t ~name ~labels (fun () -> G { v = min_int }) in
   want_kind `G inst;
   match inst.body with G g -> g | _ -> assert false
 
-let histogram t ~name ?(labels = []) ?(slots = 1) () =
-  let inst =
-    register t ~name ~labels ~slots (fun n -> H (Array.init n (fun _ -> fresh_hcell ())))
-  in
+let histogram t ~name ?(labels = []) () =
+  let inst = register t ~name ~labels (fun () -> H (fresh_hcell ())) in
   want_kind `H inst;
   match inst.body with H h -> h | _ -> assert false
 
@@ -159,26 +142,13 @@ type value =
 
 type item = { name : string; labels : labels; value : value }
 
-let summarize_h hs =
-  let count = Histogram.count hs and sum = Histogram.sum hs in
-  let vmin =
-    Array.fold_left (fun acc c -> if c.hcount = 0 then acc else Stdlib.min acc c.hmin) max_int hs
-  in
-  let vmax =
-    Array.fold_left (fun acc c -> if c.hcount = 0 then acc else Stdlib.max acc c.hmax) min_int hs
-  in
+let summarize_h c =
   let buckets = ref [] in
   for b = nbuckets - 1 downto 0 do
-    let occ = Array.fold_left (fun acc c -> acc + c.hbuckets.(b)) 0 hs in
+    let occ = c.hbuckets.(b) in
     if occ > 0 then buckets := (b, occ) :: !buckets
   done;
-  {
-    count;
-    sum;
-    vmin = (if count = 0 then 0 else vmin);
-    vmax = (if count = 0 then 0 else vmax);
-    buckets = !buckets;
-  }
+  { count = c.hcount; sum = c.hsum; vmin = c.hmin; vmax = c.hmax; buckets = !buckets }
 
 let value_of inst =
   match inst.body with
@@ -186,7 +156,7 @@ let value_of inst =
   | G g ->
     let v = Gauge.value g in
     Gauge_v (if v = min_int then 0 else v)
-  | H hs -> Histogram_v (summarize_h hs)
+  | H c -> Histogram_v (summarize_h c)
 
 let compare_item a b =
   let c = String.compare a.name b.name in
@@ -219,24 +189,20 @@ let merge_into ~into sources =
             let dst = gauge into ~name:inst.iname ~labels:inst.ilabels () in
             let v = Gauge.value g in
             if v > Gauge.value dst then Gauge.set dst v
-          | H hs ->
-            let dst = histogram into ~name:inst.iname ~labels:inst.ilabels () in
-            let d = dst.(0) in
-            Array.iter
-              (fun c ->
-                if c.hcount > 0 then begin
-                  if d.hcount = 0 then begin
-                    d.hmin <- c.hmin;
-                    d.hmax <- c.hmax
-                  end
-                  else begin
-                    d.hmin <- Stdlib.min d.hmin c.hmin;
-                    d.hmax <- Stdlib.max d.hmax c.hmax
-                  end;
-                  d.hcount <- d.hcount + c.hcount;
-                  d.hsum <- d.hsum + c.hsum;
-                  Array.iteri (fun b occ -> d.hbuckets.(b) <- d.hbuckets.(b) + occ) c.hbuckets
-                end)
-              hs)
+          | H c ->
+            let d = histogram into ~name:inst.iname ~labels:inst.ilabels () in
+            if c.hcount > 0 then begin
+              if d.hcount = 0 then begin
+                d.hmin <- c.hmin;
+                d.hmax <- c.hmax
+              end
+              else begin
+                d.hmin <- Stdlib.min d.hmin c.hmin;
+                d.hmax <- Stdlib.max d.hmax c.hmax
+              end;
+              d.hcount <- d.hcount + c.hcount;
+              d.hsum <- d.hsum + c.hsum;
+              Array.iteri (fun b occ -> d.hbuckets.(b) <- d.hbuckets.(b) + occ) c.hbuckets
+            end)
         insts)
     sources

@@ -1,19 +1,11 @@
 (** Metrics registry: typed counters, gauges and histograms registered by
-    name and label set, cheap enough for the PDES hot path.
+    name and label set, cheap enough for the simulator's hot path.
 
-    Every instrument is {e sharded}: it owns one cell per engine partition
-    ([?slots] at registration, default 1), and an increment writes only the
-    caller's slot — so partitions running concurrently under the windowed
-    driver never touch the same cell, mirroring how {!Cpufree_engine.Trace}
-    keeps partition-local sinks. Reads ({!Counter.value}, {!items}) combine
-    the slots; combination is associative and commutative (sum for counters
-    and histogram buckets, max for gauges), so the observed totals are
-    independent of the partition schedule and worker count.
-
+    Every instrument is one mutable cell: a bump is a field update.
     Registration is idempotent: asking for an instrument that already exists
-    (same name, same labels) returns the existing handle. Registration is
-    not safe during a parallel window — instrument everything at model build
-    time and only bump cells from the hot path. *)
+    (same name, same labels) returns the existing handle. Instrument
+    everything at model build time and only bump handles from the hot
+    path. *)
 
 type t
 (** A registry. *)
@@ -31,24 +23,22 @@ module Counter : sig
   type h
   (** Handle to a monotonically increasing counter. *)
 
-  val incr : ?slot:int -> h -> unit
-  val add : ?slot:int -> h -> int -> unit
-  (** Bump the counter's cell for [slot] (default 0 — the host partition).
-      Pass {!Cpufree_engine.Engine.current_partition} from partitioned hot
-      paths. @raise Invalid_argument on a negative amount or bad slot. *)
+  val incr : h -> unit
+  val add : h -> int -> unit
+  (** @raise Invalid_argument on a negative amount. *)
 
   val value : h -> int
-  (** Sum over all slots. *)
 end
 
 module Gauge : sig
   type h
-  (** Handle to a sampled value. Slots (and registries) combine by [max],
-      which keeps reads deterministic under sharding; use gauges for
-      quantities where the maximum is the meaningful aggregate (high-water
-      marks, final clocks, configuration constants). *)
+  (** Handle to a sampled value: [set] replaces it, and registries merge by
+      [max] ({!merge_into}), so use gauges for quantities where the maximum
+      is the meaningful aggregate (high-water marks, final clocks,
+      configuration constants). Reads [min_int] until the first [set];
+      {!items} reports that as 0. *)
 
-  val set : ?slot:int -> h -> int -> unit
+  val set : h -> int -> unit
   val value : h -> int
 end
 
@@ -59,17 +49,15 @@ module Histogram : sig
       width is [i] — i.e. [v] in [[2^(i-1), 2^i - 1]] for [i >= 1], and
       [v <= 0] in bucket 0. *)
 
-  val observe : ?slot:int -> h -> int -> unit
+  val observe : h -> int -> unit
   val count : h -> int
   val sum : h -> int
 end
 
-val counter : t -> name:string -> ?labels:labels -> ?slots:int -> unit -> Counter.h
-val gauge : t -> name:string -> ?labels:labels -> ?slots:int -> unit -> Gauge.h
-val histogram : t -> name:string -> ?labels:labels -> ?slots:int -> unit -> Histogram.h
-(** Register (or fetch) an instrument. [slots] is the shard count — pass the
-    engine's partition count for hot-path instruments; it is fixed at first
-    registration. @raise Invalid_argument if the name/labels pair is already
+val counter : t -> name:string -> ?labels:labels -> unit -> Counter.h
+val gauge : t -> name:string -> ?labels:labels -> unit -> Gauge.h
+val histogram : t -> name:string -> ?labels:labels -> unit -> Histogram.h
+(** Register (or fetch) an instrument. @raise Invalid_argument if the name/labels pair is already
     registered with a different instrument kind. *)
 
 (** {2 Snapshots and merging} *)
@@ -90,11 +78,11 @@ type value =
 type item = { name : string; labels : labels; value : value }
 
 val items : t -> item list
-(** Everything registered, in canonical (name, labels) order with slots
-    combined — the representation exporters consume, deterministic for any
-    partition schedule. *)
+(** Everything registered, in canonical (name, labels) order — the
+    representation exporters consume. *)
 
 val merge_into : into:t -> t list -> unit
 (** Fold every instrument of [sources] into [into] (creating instruments as
     needed): counters and histograms add, gauges max. Associative and
-    commutative — merging shards in any grouping yields the same {!items}. *)
+    commutative — merging registries in any grouping yields the same
+    {!items}. *)

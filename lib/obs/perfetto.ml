@@ -22,9 +22,9 @@ let escape s =
     s;
   Buffer.contents buf
 
-(* "gpu<N>..." lanes belong to device partition N+1; host threads, the
-   fabric and every other lane belong to partition 0 — the same layout
-   [Runtime.gpu_partition] assigns processes. *)
+(* One Perfetto process per device: "gpu<N>..." lanes get pid N+1; host
+   threads, the fabric and every other lane share pid 0. The numbering is
+   the one earlier exports used, so documents stay byte-identical. *)
 let pid_of_lane lane =
   let len = String.length lane in
   if len > 3 && String.sub lane 0 3 = "gpu" && lane.[3] >= '0' && lane.[3] <= '9' then begin
@@ -127,10 +127,9 @@ let to_json_string ?metrics trace =
     in
     List.iter
       (fun (it : Metrics.item) ->
-        (* The engine.* namespace describes the host-side driver (partition
-           count, window count), which legitimately differs between
-           CPUFREE_PDES modes; exporting it would break the byte-stability
-           of the document. It stays available in metrics.json. *)
+        (* The engine.* namespace describes the simulator (events executed,
+           watchdog scans), not the simulated machine, so it stays out of
+           the timeline, as it always has; metrics.json carries it. *)
         if String.length it.Metrics.name >= 7 && String.sub it.Metrics.name 0 7 = "engine."
         then ()
         else

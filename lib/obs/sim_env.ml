@@ -1,14 +1,8 @@
-type pdes = [ `Seq | `Windowed ]
+type pdes = [ `Seq ]
 
-let pdes_modes =
-  [
-    ("seq", `Seq);
-    ("sequential", `Seq);
-    ("windowed", `Windowed);
-    ("pdes", `Windowed);
-  ]
+let pdes_modes = [ ("seq", `Seq); ("sequential", `Seq) ]
 
-let pdes_to_string = function `Seq -> "seq" | `Windowed -> "windowed"
+let pdes_to_string `Seq = "seq"
 
 type t = {
   topology : Cpufree_machine.Topology.spec option;
@@ -22,7 +16,11 @@ type t = {
 let default =
   { topology = None; faults = None; fault_seed = 0; trace = None; metrics = None; pdes = None }
 
+(* [`Windowed] is accepted only because the repository benchmark's dace
+   probe still passes it; it runs the one driver. It goes when that
+   benchmark is next revised. *)
 let make ?topology ?faults ?(fault_seed = 0) ?trace ?metrics ?pdes () =
+  let pdes = Option.map (fun (`Seq | `Windowed) -> `Seq) pdes in
   { topology; faults; fault_seed; trace; metrics; pdes }
 
 let override ?topology ?faults ?fault_seed ?trace ?metrics ?pdes env =
@@ -131,4 +129,4 @@ let observed env = env.trace <> None || env.metrics <> None
 
 let quiet env = { env with trace = None; metrics = None }
 
-let probe env = { (quiet env) with faults = None; pdes = Some `Windowed }
+let probe env = { (quiet env) with faults = None; pdes = Some `Seq }

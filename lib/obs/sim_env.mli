@@ -1,7 +1,7 @@
 (** The simulation environment: one record bundling every cross-cutting knob
     that used to thread through the stack as separate optional arguments —
     machine topology, fault plan and seed, trace and metrics sinks, and the
-    PDES execution mode.
+    execution mode.
 
     [Cpufree_core.Sim_env] re-exports this module; entry points across
     [Measure], the stencil [Harness], [Dace.Pipeline] and [Runtime.create]
@@ -9,10 +9,12 @@
     no observability, HGX topology, execution mode from the [CPUFREE_PDES]
     environment variable. *)
 
-type pdes = [ `Seq | `Windowed ]
-(** The sequential reference driver, or the conservative windowed driver
-    ({!Cpufree_engine.Engine.run_windowed}). Both produce bit-identical
-    results. *)
+type pdes = [ `Seq ]
+(** The execution mode: the one sequential driver,
+    {!Cpufree_engine.Engine.run}. The mode survives as a field so that the
+    textual forms, their digests and the [CPUFREE_PDES] / [--pdes] checks
+    stay as they were: [seq] is accepted, and every other mode name (the
+    removed drivers' included) is rejected. *)
 
 type t = {
   topology : Cpufree_machine.Topology.spec option;
@@ -39,8 +41,11 @@ val make :
   ?fault_seed:int ->
   ?trace:Cpufree_engine.Trace.t ->
   ?metrics:Metrics.t ->
-  ?pdes:pdes ->
+  ?pdes:[< `Seq | `Windowed ] ->
   unit -> t
+(** [pdes] also takes [`Windowed], for one caller only: the repository
+    benchmark's dace probe ([perfbench/wl_dace.ml]) still passes it. It
+    means [`Seq]. Drop it when that benchmark is next revised. *)
 
 val override :
   ?topology:Cpufree_machine.Topology.spec ->
@@ -72,16 +77,15 @@ val digest : t -> string
     relies on. Versioned: changing the encoding changes every digest. *)
 
 val pdes_to_string : pdes -> string
-(** Canonical lowercase name: ["seq"] or ["windowed"]. *)
+(** Canonical lowercase name: ["seq"]. *)
 
 val pdes_of_string : string -> (pdes, string) result
-(** Parse a user-supplied mode name (CLI flags, env vars): [""], ["seq"],
-    ["sequential"] are [`Seq]; ["windowed"], ["pdes"] are [`Windowed].
-    [Error] carries a friendly message listing every valid mode. *)
+(** Parse a user-supplied mode name (CLI flags, env vars, scenario fields):
+    [""], ["seq"], ["sequential"] are [`Seq]. [Error] on anything else,
+    with a message listing every valid mode. *)
 
 val pdes_of_env_var : unit -> pdes
-(** Parse [CPUFREE_PDES]: unset, [""], ["seq"], ["sequential"] are [`Seq];
-    ["windowed"], ["pdes"] are [`Windowed].
+(** Parse [CPUFREE_PDES]: unset, [""], ["seq"], ["sequential"] are [`Seq].
     @raise Invalid_argument on anything else, with a message listing every
     valid mode. *)
 
@@ -99,9 +103,5 @@ val quiet : t -> t
 
 val probe : t -> t
 (** The candidate-evaluation environment derived from [env]: sinks and fault
-    plan removed and the PDES mode pinned to [`Windowed]. Pinning makes a
-    search that ranks simulated costs independent of the ambient
-    [CPUFREE_PDES] setting; both drivers are bit-identical, so which one is
-    pinned does not change any cost. Nor does it change host time: the
-    candidate models are not isolated, so the windowed driver runs the
-    sequential loop on them. *)
+    plan removed and the mode pinned to [`Seq], so a search never reads the
+    ambient [CPUFREE_PDES] setting. *)

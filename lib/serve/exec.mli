@@ -6,8 +6,8 @@
     schema-validated artifacts as a {!Protocol.run_payload}.
 
     Deterministic: a fixed scenario yields a byte-identical payload on
-    every call, in every [CPUFREE_PDES] mode — the property the result
-    cache and its self-check rest on. *)
+    every call — the property the result cache and its self-check rest
+    on. *)
 
 val run : Cpufree_core.Scenario.t -> (Protocol.run_payload, string) result
 (** [Error] on an uninterpretable workload (unknown variant/app/arm/dims,

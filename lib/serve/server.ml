@@ -1,5 +1,5 @@
 module Scenario = Cpufree_core.Scenario
-module Dpool = Cpufree_engine.Dpool
+module Pool = Cpufree_core.Pool
 module P = Protocol
 module J = Cpufree_core.Json
 
@@ -16,7 +16,7 @@ let default_config ~socket_path =
     socket_path;
     cache_capacity = 128;
     max_queue = 64;
-    jobs = Cpufree_core.Parallel.default_jobs ();
+    jobs = Pool.default_jobs ();
     selfcheck = Sys.getenv_opt "CPUFREE_SERVE_SELFCHECK" <> None;
   }
 
@@ -136,7 +136,7 @@ let process_batch state pool batch =
   let to_run = Array.of_list to_run in
   let results = Array.make (Array.length to_run) (Error "not run") in
   if Array.length to_run > 0 then
-    Dpool.run pool ~n:(Array.length to_run) (fun i ->
+    Pool.run pool ~n:(Array.length to_run) (fun i ->
         (* Exec.run captures every exception; the pool callback never
            raises. *)
         results.(i) <- Exec.run (snd to_run.(i)));
@@ -198,7 +198,7 @@ let process_batch state pool batch =
     resolved
 
 let worker state =
-  let pool = Dpool.create ~jobs:state.cfg.jobs in
+  let pool = Pool.create ~jobs:state.cfg.jobs in
   let rec loop () =
     Mutex.lock state.lock;
     while Queue.is_empty state.queue && not state.stop do
@@ -214,7 +214,7 @@ let worker state =
     end
   in
   loop ();
-  Dpool.shutdown pool
+  Pool.shutdown pool
 
 (* --- request handling (reader domain) ------------------------------------- *)
 

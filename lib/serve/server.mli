@@ -1,7 +1,7 @@
 (** The scenario daemon: simulation-as-a-service over a Unix domain socket.
 
     One server owns a listening socket, a result cache, and a worker domain
-    with a {!Cpufree_engine.Dpool} underneath it. The accept/read loop
+    with a {!Cpufree_core.Pool} underneath it. The accept/read loop
     (the calling domain) parses {!Protocol} frames and serves what it can
     without simulating: [stats] snapshots, [shutdown], and [run] requests
     whose digest is already cached. Everything else is admitted to a
@@ -25,7 +25,7 @@ type config = {
   socket_path : string;
   cache_capacity : int;  (** result-cache entries (default 128) *)
   max_queue : int;  (** in-flight admission bound (default 64) *)
-  jobs : int;  (** simulation pool width (default {!Cpufree_core.Parallel.default_jobs}) *)
+  jobs : int;  (** simulation pool width (default {!Cpufree_core.Pool.default_jobs}) *)
   selfcheck : bool;
       (** recompute every cache hit and [exit 1] unless byte-equal
           (default: set iff [CPUFREE_SERVE_SELFCHECK] is set) *)

@@ -1,5 +1,5 @@
 module Measure = Cpufree_core.Measure
-module Parallel = Cpufree_core.Parallel
+module Pool = Cpufree_core.Pool
 module Env = Cpufree_obs.Sim_env
 
 let run_env ?arch ?env kind problem ~gpus =
@@ -61,8 +61,7 @@ let strip_failstop (s : F.spec) = { s with F.kills = []; link_fails = []; switch
    shard (its share of the global state) across them over NVLink — each
    survivor pulls an equal slice, so the wire time is the shard size over
    the aggregate per-direction NVLink bandwidth. Pure arithmetic on the
-   problem geometry: deterministic, and identical under every PDES
-   driver. *)
+   problem geometry, hence deterministic. *)
 let restart_cost problem ~gpus ~survivors =
   let profile = Cpufree_machine.Topology.a100 in
   let shard_elems = Problem.total_elems problem / max 1 gpus in
@@ -185,9 +184,9 @@ let run_scenario_chaos ?watchdog s =
 
 let scenario_sim_env s = s.sc_env
 
-let run_many ?jobs scenarios = Parallel.map ?jobs run_scenario scenarios
+let run_many ?jobs scenarios = Pool.map ?jobs run_scenario scenarios
 
-let run_many_traced ?jobs scenarios = Parallel.map ?jobs run_scenario_traced scenarios
+let run_many_traced ?jobs scenarios = Pool.map ?jobs run_scenario_traced scenarios
 
 (* The stencil interpretation of a first-class scenario: the workload's
    neutral strings resolved into a variant and a problem, everything below

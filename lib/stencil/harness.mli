@@ -3,7 +3,7 @@
     weak/strong scaling series of Figures 6.1 and 6.2.
 
     Canonical entry points take a {!Cpufree_obs.Sim_env.t} (topology, fault
-    plan, observability sinks, PDES mode); {!of_scenario} builds a runnable
+    plan, observability sinks); {!of_scenario} builds a runnable
     scenario from a first-class {!Cpufree_core.Scenario.t}, so the CLI and
     the serving daemon execute stencil requests through one path. *)
 
@@ -71,7 +71,7 @@ val run_resilient :
     relaunch + shard-redistribution cost), strips the already-fired
     fail-stop clauses from the spec, and resumes for the remaining
     iterations. Every quantity is deterministic for a fixed
-    [(spec, seed)] under every [CPUFREE_PDES] driver. Single-kill
+    [(spec, seed)]. Single-kill
     scenarios are supported: the first diagnosed kill drives recovery. *)
 
 val verify_env :
@@ -90,7 +90,7 @@ val tolerance : float
     A scenario is one fully specified simulation (variant × problem × GPU
     count, plus an optional machine/fault environment). Scenarios share
     nothing — each run builds a private engine — so lists of them execute
-    through the {!Cpufree_core.Parallel} domain pool with results in list
+    through the {!Cpufree_core.Pool} with results in list
     order, bit-identical to running them sequentially. An [env] carrying
     trace/metrics sinks must not be shared between scenarios of one
     parallel batch: each worker mutates its scenario's sinks. *)
@@ -125,7 +125,7 @@ val scenario_sim_env : scenario -> Cpufree_obs.Sim_env.t
 
 val run_many : ?jobs:int -> scenario list -> Cpufree_core.Measure.result list
 (** Execute every scenario on the domain pool ([?jobs] as in
-    {!Cpufree_core.Parallel.map}; defaults to [CPUFREE_JOBS] or the host
+    {!Cpufree_core.Pool.map}; defaults to [CPUFREE_JOBS] or the host
     core count). Results are in input order. *)
 
 val run_many_traced :

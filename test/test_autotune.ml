@@ -1,6 +1,6 @@
 (* The generic auto-offload pass: analysis classification, 1-D sharding
    (placement) verified numerically against the sequential reference, and
-   the autotuner's search — determinism across runs and PDES modes, and the
+   the autotuner's search — determinism across runs and mode settings, and the
    match-or-beat guarantee against the hand-built pipelines. *)
 
 module E = Cpufree_engine
@@ -168,7 +168,8 @@ let search_tests =
           let d1 = run Sim_env.default in
           let d2 = run Sim_env.default in
           let d3 = run { Sim_env.default with Sim_env.pdes = Some `Seq } in
-          let d4 = run { Sim_env.default with Sim_env.pdes = Some `Windowed } in
+          (* The constructor the repository benchmark's probe passes. *)
+          let d4 = run (Sim_env.make ~pdes:`Windowed ()) in
           let plan d = Autotune.plan_to_string d.Autotune.best in
           check_string "rerun" (plan d1) (plan d2);
           check_string "seq" (plan d1) (plan d3);

@@ -8,6 +8,7 @@ module Mpi = Cpufree_comm.Mpi
 module P2p = Cpufree_comm.P2p
 module Collective = Cpufree_comm.Collective
 module Metrics = Cpufree_comm.Metrics
+module Intervals = E.Intervals
 module Time = E.Time
 module Engine = E.Engine
 
@@ -336,17 +337,17 @@ let iv a b = (Time.ns a, Time.ns b)
 let metrics_tests =
   [
     Alcotest.test_case "merge unions overlapping intervals" `Quick (fun () ->
-        let merged = Metrics.merge [ iv 0 10; iv 5 15; iv 20 30 ] in
+        let merged = Intervals.merge [ iv 0 10; iv 5 15; iv 20 30 ] in
         check_int "count" 2 (List.length merged);
-        check_int "total" 25 (Time.to_ns (Metrics.total merged)));
+        check_int "total" 25 (Time.to_ns (Intervals.total merged)));
     Alcotest.test_case "merge drops empty intervals" `Quick (fun () ->
-        check_int "empty" 0 (List.length (Metrics.merge [ iv 5 5 ])));
+        check_int "empty" 0 (List.length (Intervals.merge [ iv 5 5 ])));
     Alcotest.test_case "intersect computes overlap" `Quick (fun () ->
-        let x = Metrics.merge [ iv 0 10 ] and y = Metrics.merge [ iv 5 20 ] in
-        check_int "overlap" 5 (Time.to_ns (Metrics.total (Metrics.intersect x y))));
+        let x = Intervals.merge [ iv 0 10 ] and y = Intervals.merge [ iv 5 20 ] in
+        check_int "overlap" 5 (Time.to_ns (Intervals.total (Intervals.intersect x y))));
     Alcotest.test_case "intersect of disjoint is empty" `Quick (fun () ->
-        let x = Metrics.merge [ iv 0 5 ] and y = Metrics.merge [ iv 6 9 ] in
-        check_int "none" 0 (List.length (Metrics.intersect x y)));
+        let x = Intervals.merge [ iv 0 5 ] and y = Intervals.merge [ iv 6 9 ] in
+        check_int "none" 0 (List.length (Intervals.intersect x y)));
     Alcotest.test_case "overlap ratio from a synthetic trace" `Quick (fun () ->
         let t = E.Trace.create () in
         E.Trace.add t ~lane:"g0" ~label:"k" ~kind:E.Trace.Compute ~t0:(Time.ns 0)
@@ -770,7 +771,6 @@ let fabric_tests =
         let eng = Engine.create () in
         let net = G.Interconnect.create eng ~arch:G.Arch.a100_hgx ~num_gpus:8 in
         check_int "nothing routed at creation" 0 (G.Interconnect.pairs_resolved net);
-        ignore (G.Interconnect.lookahead net : Time.t);
         ignore (G.Interconnect.min_gpu_wire_latency net : Time.t);
         ignore (G.Interconnect.max_gpu_wire_latency net : Time.t);
         check_int "bounds come from the topology, not the memo" 0
@@ -799,17 +799,17 @@ let comm_props =
          QCheck.(list (pair (int_bound 500) (int_bound 500)))
          (fun pairs ->
            let ivs = List.map (fun (a, d) -> (Time.ns a, Time.ns (a + d))) pairs in
-           let once = Metrics.merge ivs in
-           Metrics.merge once = once));
+           let once = Intervals.merge ivs in
+           Intervals.merge once = once));
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"intersection is bounded by each operand" ~count:100
          QCheck.(pair (list (pair (int_bound 300) (int_bound 99)))
                    (list (pair (int_bound 300) (int_bound 99))))
          (fun (xs, ys) ->
            let mk = List.map (fun (a, d) -> (Time.ns a, Time.ns (a + d + 1))) in
-           let x = Metrics.merge (mk xs) and y = Metrics.merge (mk ys) in
-           let inter = Metrics.total (Metrics.intersect x y) in
-           Time.(inter <= Metrics.total x) && Time.(inter <= Metrics.total y)));
+           let x = Intervals.merge (mk xs) and y = Intervals.merge (mk ys) in
+           let inter = Intervals.total (Intervals.intersect x y) in
+           Time.(inter <= Intervals.total x) && Time.(inter <= Intervals.total y)));
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"allreduce_sum equals the arithmetic sum" ~count:30
          QCheck.(pair (int_range 1 6) (list_of_size Gen.(return 6) (float_bound_exclusive 100.0)))

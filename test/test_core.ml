@@ -316,29 +316,29 @@ let determinism_tests =
         check_bool "identical" true (a = b));
   ]
 
-(* --- Parallel -------------------------------------------------------------- *)
+(* --- Pool ------------------------------------------------------------------ *)
 
-module Parallel = Core.Parallel
+module Pool = Core.Pool
 
 exception Boom of int
 
 let parallel_tests =
   [
     Alcotest.test_case "empty list" `Quick (fun () ->
-        check (Alcotest.list Alcotest.int) "empty" [] (Parallel.map ~jobs:4 (fun x -> x) []));
+        check (Alcotest.list Alcotest.int) "empty" [] (Pool.map ~jobs:4 (fun x -> x) []));
     Alcotest.test_case "sequential fallback at one job" `Quick (fun () ->
         check (Alcotest.list Alcotest.int) "same" [ 2; 4; 6 ]
-          (Parallel.map ~jobs:1 (fun x -> 2 * x) [ 1; 2; 3 ]));
+          (Pool.map ~jobs:1 (fun x -> 2 * x) [ 1; 2; 3 ]));
     Alcotest.test_case "pool larger than the work list" `Quick (fun () ->
-        check (Alcotest.list Alcotest.int) "same" [ 1 ] (Parallel.map ~jobs:16 succ [ 0 ]));
+        check (Alcotest.list Alcotest.int) "same" [ 1 ] (Pool.map ~jobs:16 succ [ 0 ]));
     Alcotest.test_case "lowest-index exception wins" `Quick (fun () ->
         let f x = if x >= 10 then raise (Boom x) else x in
-        (match Parallel.map ~jobs:4 f [ 1; 12; 3; 11; 5 ] with
+        (match Pool.map ~jobs:4 f [ 1; 12; 3; 11; 5 ] with
         | _ -> Alcotest.fail "expected Boom"
         | exception Boom x -> check_int "first failing index" 12 x));
     Alcotest.test_case "map_reduce folds in input order" `Quick (fun () ->
         let s =
-          Parallel.map_reduce ~jobs:4 ~map:string_of_int
+          Pool.map_reduce ~jobs:4 ~map:string_of_int
             ~reduce:(fun acc x -> acc ^ x)
             ~init:"" [ 1; 2; 3; 4; 5; 6; 7; 8; 9 ]
         in
@@ -356,11 +356,29 @@ let parallel_tests =
         in
         let inputs = [ 1; 2; 4; 8; 8; 4; 2; 1 ] in
         let seq = List.map scenario inputs in
-        let par = Parallel.map ~jobs:4 scenario inputs in
+        let par = Pool.map ~jobs:4 scenario inputs in
         List.iter2
           (fun (a : Measure.result) (b : Measure.result) ->
             check_int "total" (Time.to_ns a.Measure.total) (Time.to_ns b.Measure.total))
           seq par);
+    Alcotest.test_case "a one-job pool runs every item on the caller" `Quick (fun () ->
+        let pool = Pool.create ~jobs:1 in
+        let self = (Domain.self () :> int) in
+        let seen = Array.make 5 (-1) in
+        Pool.run pool ~n:5 (fun i -> seen.(i) <- (Domain.self () :> int));
+        Pool.shutdown pool;
+        check (Alcotest.list Alcotest.int) "caller's domain" (List.init 5 (fun _ -> self))
+          (Array.to_list seen));
+    Alcotest.test_case "a persistent pool runs each item once per batch" `Quick (fun () ->
+        let pool = Pool.create ~jobs:3 in
+        let hits = Array.make 40 0 in
+        for _ = 1 to 25 do
+          Pool.run pool ~n:40 (fun i -> hits.(i) <- hits.(i) + 1)
+        done;
+        Pool.run pool ~n:0 (fun _ -> Alcotest.fail "no items");
+        Pool.shutdown pool;
+        check (Alcotest.list Alcotest.int) "25 each" (List.init 40 (fun _ -> 25))
+          (Array.to_list hits));
   ]
 
 let parallel_props =
@@ -369,13 +387,13 @@ let parallel_props =
       (QCheck.Test.make ~name:"map equals List.map for any pool size" ~count:100
          QCheck.(pair (int_range 1 8) (list small_int))
          (fun (jobs, xs) ->
-           Parallel.map ~jobs (fun x -> (x * 37) land 255) xs
+           Pool.map ~jobs (fun x -> (x * 37) land 255) xs
            = List.map (fun x -> (x * 37) land 255) xs));
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"map_reduce equals fold of List.map" ~count:100
          QCheck.(pair (int_range 1 8) (list (int_bound 1000)))
          (fun (jobs, xs) ->
-           Parallel.map_reduce ~jobs ~map:succ ~reduce:( + ) ~init:0 xs
+           Pool.map_reduce ~jobs ~map:succ ~reduce:( + ) ~init:0 xs
            = List.fold_left ( + ) 0 (List.map succ xs)));
   ]
 
@@ -409,17 +427,13 @@ let json_tests =
           (Json.to_string ~indent:0 (Json.Float Float.infinity)));
   ]
 
-(* --- PDES mode and the microbenchmark ----------------------------------- *)
+(* --- Execution mode --------------------------------------------------------- *)
 
-module Microbench = Core.Microbench
 module S = Cpufree_stencil
 
 let with_pdes value f =
   Unix.putenv "CPUFREE_PDES" value;
   Fun.protect ~finally:(fun () -> Unix.putenv "CPUFREE_PDES" "") f
-
-let small_micro =
-  { Microbench.default with Microbench.gpus = 4; iters = 12; ticks_per_iter = 2; traced = true }
 
 let pdes_tests =
   [
@@ -428,61 +442,25 @@ let pdes_tests =
         check_bool "empty is seq" true (mode "" = `Seq);
         check_bool "seq" true (mode "seq" = `Seq);
         check_bool "sequential" true (mode "Sequential" = `Seq);
-        check_bool "windowed" true (mode "windowed" = `Windowed);
-        check_bool "pdes" true (mode "PDES" = `Windowed);
         let rejected v =
           Alcotest.check_raises (v ^ " rejected with the valid modes listed")
             (Invalid_argument
-               (Printf.sprintf
-                  "CPUFREE_PDES=%S: valid modes are \"seq\", \"sequential\", \"windowed\", \
-                   \"pdes\""
-                  v))
+               (Printf.sprintf "CPUFREE_PDES=%S: valid modes are \"seq\", \"sequential\"" v))
             (fun () -> ignore (mode v))
         in
-        List.iter rejected [ "turbo"; "adaptive"; "optimistic"; "timewarp" ]);
+        List.iter rejected [ "turbo"; "adaptive"; "optimistic"; "timewarp"; "windowed"; "PDES" ]);
     Alcotest.test_case "windowed env is bit-identical on a figure scenario" `Quick (fun () ->
         let problem =
           S.Problem.make (S.Problem.D2 { nx = 64; ny = 64 }) ~iterations:3
         in
-        let run () = S.Harness.run_traced_env S.Variants.Nvshmem problem ~gpus:2 in
-        let r_seq, tr_seq = with_pdes "seq" run in
-        let r_win, tr_win = with_pdes "windowed" run in
+        let run ?env () = S.Harness.run_traced_env ?env S.Variants.Nvshmem problem ~gpus:2 in
+        let r_seq, tr_seq = with_pdes "seq" (fun () -> run ()) in
+        (* The one caller of [`Windowed], the repository benchmark, gets the
+           sequential driver. *)
+        let r_win, tr_win = run ~env:(Core.Sim_env.make ~pdes:`Windowed ()) () in
         check_bool "results identical" true (r_seq = r_win);
         check_bool "traces identical" true
           (E.Trace.sorted_spans tr_seq = E.Trace.sorted_spans tr_win));
-    Alcotest.test_case "microbench windowed output equals sequential" `Quick (fun () ->
-        let seq = Microbench.run_seq small_micro in
-        let win = Microbench.run_windowed ~jobs:2 small_micro in
-        (match win.Microbench.outcome with
-        | Engine.Windowed { windows; _ } -> check_bool "ran windows" true (windows > 0)
-        | Engine.Sequential r -> Alcotest.fail ("unexpected fallback: " ^ r));
-        check_bool "equal output" true
-          (Microbench.equal_output seq.Microbench.out win.Microbench.out);
-        check_bool "spans recorded" true (seq.Microbench.out.Microbench.spans <> []));
-    Alcotest.test_case "microbench shift pattern agrees across drivers" `Quick (fun () ->
-        let cfg = { small_micro with Microbench.pattern = Microbench.Shift 2; gpus = 5 } in
-        let seq = Microbench.run_seq cfg in
-        let win = Microbench.run_windowed ~jobs:3 cfg in
-        check_bool "equal output" true
-          (Microbench.equal_output seq.Microbench.out win.Microbench.out));
-    Alcotest.test_case "zero-lookahead arch falls back to sequential" `Quick (fun () ->
-        let free_signal =
-          {
-            G.Arch.a100_hgx with
-            G.Arch.nvlink_latency = Time.zero;
-            gpu_initiated_latency = Time.zero;
-          }
-        in
-        let cfg = { small_micro with Microbench.arch = free_signal } in
-        let seq = Microbench.run_seq cfg in
-        let win = Microbench.run_windowed ~jobs:2 cfg in
-        (match win.Microbench.outcome with
-        | Engine.Sequential reason ->
-          check_bool "reason mentions lookahead" true
-            (Astring.String.is_infix ~affix:"lookahead" reason)
-        | Engine.Windowed _ -> Alcotest.fail "expected sequential fallback");
-        check_bool "fallback output identical" true
-          (Microbench.equal_output seq.Microbench.out win.Microbench.out));
   ]
 
 let () =

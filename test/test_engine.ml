@@ -709,181 +709,12 @@ let sync_tests =
           (fun () -> ignore (Sync.Semaphore.create eng (-1))));
   ]
 
-(* --- Partitions and windowed execution ---------------------------------- *)
-
-let lookahead = Time.ns 1000
-
-(* A ring model whose every cross-partition interaction is a [post] one
-   lookahead in the future — the shape [run_windowed] is sound for. Rank [g]
-   lives on partition [g + 1]; partition 0 (the "host") stays empty. Delays
-   are a seed-dependent arithmetic hash so partitions drift apart and windows
-   cut the event streams at irregular points. *)
-let build_ring ?trace ~parts ~iters ~seed () =
-  let eng = Engine.create ?trace ~partitions:parts ~isolated:true () in
-  let ranks = parts - 1 in
-  let flags = Array.init ranks (fun g -> Sync.Flag.create ~name:(Printf.sprintf "f%d" g) eng 0) in
-  let totals = Array.make ranks 0 in
-  for g = 0 to ranks - 1 do
-    let (_ : Engine.process) =
-      Engine.spawn eng ~name:(Printf.sprintf "rank%d" g) ~partition:(g + 1) (fun () ->
-          for it = 1 to iters do
-            let t0 = Engine.now eng in
-            let d = 1 + ((seed + (g * 37) + (it * 11)) mod 97) in
-            Engine.delay eng (Time.ns d);
-            Trace.add_opt (Engine.trace eng) ~lane:(Printf.sprintf "p%d" g) ~label:"work"
-              ~kind:Trace.Compute ~t0 ~t1:(Engine.now eng);
-            let dst = (g + 1) mod ranks in
-            if dst <> g then begin
-              let payload = (g * 1000) + it in
-              Engine.post eng ~partition:(dst + 1)
-                ~at:(Time.add (Engine.now eng) lookahead)
-                (fun () ->
-                  totals.(dst) <- totals.(dst) + payload;
-                  Sync.Flag.add flags.(dst) 1);
-              Sync.Flag.wait_ge flags.(g) it
-            end
-          done)
-    in
-    ()
-  done;
-  (eng, totals)
-
-(* Everything a driver may not change: final clock, event count, delivered
-   payload sums, and (when traced) the canonical span list. *)
-let ring_output eng totals =
-  ( Time.to_ns (Engine.now eng),
-    Engine.events_executed eng,
-    Array.to_list totals,
-    match Engine.trace eng with None -> [] | Some tr -> Trace.sorted_spans tr )
-
-let run_ring_seq ~parts ~iters ~seed =
-  let eng, totals = build_ring ~trace:(Trace.create ()) ~parts ~iters ~seed () in
-  Engine.run eng;
-  ring_output eng totals
-
-let run_ring_windowed ~jobs ~parts ~iters ~seed =
-  let eng, totals = build_ring ~trace:(Trace.create ()) ~parts ~iters ~seed () in
-  let outcome = Engine.run_windowed ~jobs ~lookahead eng in
-  (outcome, ring_output eng totals)
-
-let partition_tests =
-  [
-    Alcotest.test_case "post crosses partitions under the sequential driver" `Quick (fun () ->
-        let eng = Engine.create ~partitions:3 () in
-        let hits = ref [] in
-        let (_ : Engine.process) =
-          Engine.spawn eng ~name:"src" ~partition:1 (fun () ->
-              Engine.delay eng (Time.ns 10);
-              Engine.post eng ~partition:2 ~at:(Time.ns 50) (fun () -> hits := 2 :: !hits);
-              Engine.post eng ~partition:0 ~at:(Time.ns 40) (fun () -> hits := 0 :: !hits))
-        in
-        Engine.run eng;
-        check (Alcotest.list Alcotest.int) "in time order" [ 2; 0 ] !hits;
-        check_int "clock at last event" 50 (Time.to_ns (Engine.now eng)));
-    Alcotest.test_case "partition hint ignored on a single-partition engine" `Quick (fun () ->
-        let eng = Engine.create () in
-        let p = Engine.spawn eng ~name:"p" ~partition:7 (fun () -> ()) in
-        check_int "clamped to 0" 0 (Engine.process_partition p);
-        Engine.run eng);
-    Alcotest.test_case "windowed run matches sequential bit-for-bit" `Quick (fun () ->
-        let seq = run_ring_seq ~parts:4 ~iters:6 ~seed:5 in
-        let outcome, win = run_ring_windowed ~jobs:2 ~parts:4 ~iters:6 ~seed:5 in
-        (match outcome with
-        | Engine.Windowed { windows; _ } -> check_bool "ran windows" true (windows > 0)
-        | Engine.Sequential r -> Alcotest.fail ("unexpected fallback: " ^ r));
-        check_bool "identical output" true (seq = win));
-    QCheck_alcotest.to_alcotest
-      (QCheck.Test.make ~name:"windowed equals sequential for any config and worker count"
-         ~count:40
-         QCheck.(triple (int_range 2 5) (int_range 1 8) small_int)
-         (fun (parts, iters, seed) ->
-           let seq = run_ring_seq ~parts ~iters ~seed in
-           let _, win1 = run_ring_windowed ~jobs:1 ~parts ~iters ~seed in
-           let _, win3 = run_ring_windowed ~jobs:3 ~parts ~iters ~seed in
-           seq = win1 && seq = win3));
-    Alcotest.test_case "zero lookahead falls back to sequential" `Quick (fun () ->
-        let eng, totals = build_ring ~parts:3 ~iters:4 ~seed:1 () in
-        (match Engine.run_windowed ~lookahead:Time.zero eng with
-        | Engine.Sequential reason ->
-          check_bool "reason mentions lookahead" true
-            (Astring.String.is_infix ~affix:"lookahead" reason)
-        | Engine.Windowed _ ->
-          Alcotest.fail "expected sequential fallback");
-        let seq_eng, seq_totals = build_ring ~parts:3 ~iters:4 ~seed:1 () in
-        Engine.run seq_eng;
-        check_bool "fallback output identical" true
-          (ring_output eng totals = ring_output seq_eng seq_totals));
-    Alcotest.test_case "engine without the isolation promise falls back" `Quick (fun () ->
-        let eng = Engine.create ~partitions:3 () in
-        let (_ : Engine.process) =
-          Engine.spawn eng ~name:"p" ~partition:1 (fun () -> Engine.delay eng (Time.ns 5))
-        in
-        match Engine.run_windowed ~lookahead eng with
-        | Engine.Sequential reason ->
-          check_bool "reason mentions isolation" true
-            (Astring.String.is_infix ~affix:"isolated" reason)
-        | Engine.Windowed _ ->
-          Alcotest.fail "expected sequential fallback");
-    Alcotest.test_case "single-partition engine falls back" `Quick (fun () ->
-        let eng = Engine.create ~isolated:true () in
-        let (_ : Engine.process) = Engine.spawn eng ~name:"p" (fun () -> ()) in
-        match Engine.run_windowed ~lookahead eng with
-        | Engine.Sequential _ -> ()
-        | Engine.Windowed _ ->
-          Alcotest.fail "expected sequential fallback");
-    Alcotest.test_case "cross-partition post inside the window raises" `Quick (fun () ->
-        let eng = Engine.create ~partitions:3 ~isolated:true () in
-        let (_ : Engine.process) =
-          Engine.spawn eng ~name:"p" ~partition:1 (fun () ->
-              Engine.delay eng (Time.ns 5);
-              Engine.post eng ~partition:2 ~at:(Engine.now eng) (fun () -> ()))
-        in
-        match Engine.run_windowed ~lookahead eng with
-        | exception Engine.Lookahead_violation _ -> ()
-        | _ -> Alcotest.fail "expected Lookahead_violation");
-    Alcotest.test_case "cross-partition spawn inside the window raises" `Quick (fun () ->
-        let eng = Engine.create ~partitions:3 ~isolated:true () in
-        let (_ : Engine.process) =
-          Engine.spawn eng ~name:"p" ~partition:1 (fun () ->
-              let (_ : Engine.process) =
-                Engine.spawn eng ~name:"q" ~partition:2 (fun () -> ())
-              in
-              ())
-        in
-        match Engine.run_windowed ~lookahead eng with
-        | exception Engine.Lookahead_violation _ -> ()
-        | _ -> Alcotest.fail "expected Lookahead_violation");
-    Alcotest.test_case "finished processes leave the registry" `Quick (fun () ->
-        let eng = Engine.create () in
-        for i = 1 to 50 do
-          let (_ : Engine.process) =
-            Engine.spawn eng ~name:(Printf.sprintf "p%d" i) (fun () ->
-                Engine.delay eng (Time.ns i))
-          in
-          ()
-        done;
-        Engine.run eng;
-        check_int "registry drained" 0 (Engine.registered_processes eng);
-        check (Alcotest.list Alcotest.string) "nothing blocked" []
-          (Engine.blocked_descriptions eng));
-    Alcotest.test_case "blocked daemons stay registered, finished ones do not" `Quick
-      (fun () ->
-        let eng = Engine.create () in
-        let f = Sync.Flag.create ~name:"never" eng 0 in
-        let (_ : Engine.process) =
-          Engine.spawn eng ~name:"d" ~daemon:true (fun () -> Sync.Flag.wait_ge f 1)
-        in
-        let (_ : Engine.process) = Engine.spawn eng ~name:"p" (fun () -> ()) in
-        Engine.run eng;
-        check_int "daemon still live" 1 (Engine.registered_processes eng));
-  ]
-
 (* --- Stackless processes ------------------------------------------------ *)
 
 (* Spawn a stackless process that sleeps until each absolute time in [ats]
    in turn, logging [name] at every wake-up. *)
-let sleeper eng ?partition ~name ats log =
-  Engine.spawn_stackless eng ~name ?partition (fun proc ->
+let sleeper eng ~name ats log =
+  Engine.spawn_stackless eng ~name (fun proc ->
       let rec go = function
         | [] -> ()
         | at :: rest ->
@@ -975,19 +806,6 @@ let stackless_tests =
           (Invalid_argument "Engine.sleep_until: process is not running") (fun () ->
             Engine.sleep_until eng idle (Time.ns 1) ignore);
         Engine.run eng);
-    Alcotest.test_case "cross-partition stackless spawn inside the window raises" `Quick
-      (fun () ->
-        let eng = Engine.create ~partitions:3 ~isolated:true () in
-        let (_ : Engine.process) =
-          Engine.spawn eng ~name:"p" ~partition:1 (fun () ->
-              let (_ : Engine.process) =
-                Engine.spawn_stackless eng ~name:"q" ~partition:2 (fun _ -> ())
-              in
-              ())
-        in
-        match Engine.run_windowed ~lookahead eng with
-        | exception Engine.Lookahead_violation _ -> ()
-        | _ -> Alcotest.fail "expected Lookahead_violation");
   ]
 
 (* --- Event queue, registry and allocation ------------------------------- *)
@@ -1005,55 +823,32 @@ let drain_keys q log =
   in
   go []
 
-(* A random interleaving of pushes ([Some key]) and pops ([None]) with many
-   equal times and equal seqs across partitions: every pop must return the
-   least pending key in (time, seq, partition) order, and [move_all] must
-   hand every pending event over with its key. *)
+(* A random interleaving of pushes ([Some (time, tag)]) and pops ([None])
+   with many equal times: every pop must return the least pending key in
+   (time, seq) order. Seqs are unique, as the engine's are, but not pushed
+   in increasing order: the push index breaks ties between equal tags. *)
 let evq_law ops =
   let q = Evq.create () in
-  let log = ref (0, 0, 0) in
+  let log = ref (0, 0) in
   let model = ref [] in
   let ok = ref true in
-  List.iter
-    (function
-      | Some ((at, seq, part) as key) ->
-        Evq.push q ~at:(Time.ns at) ~seq ~part (fun () -> log := key);
+  List.iteri
+    (fun i op ->
+      match op with
+      | Some (at, tag) ->
+        let key = (at, (tag * 1000) + i) in
+        Evq.push q ~at:(Time.ns at) ~seq:(snd key) (fun () -> log := key);
         model := List.merge compare [ key ] !model
       | None -> (
         match !model with
         | [] -> ok := !ok && Evq.is_empty q
         | least :: rest ->
-          let top = (Time.to_ns (Evq.top_time q), Evq.top_part q) in
+          let top = Time.to_ns (Evq.top_time q) in
           (Evq.pop q) ();
-          let at, _, part = least in
-          ok := !ok && top = (at, part) && !log = least;
+          ok := !ok && top = fst least && !log = least;
           model := rest))
     ops;
-  let even = Evq.create () and odd = Evq.create () in
-  Evq.move_all q ~into:(fun part -> if part mod 2 = 0 then even else odd);
-  let keep parity = List.filter (fun (_, _, part) -> part mod 2 = parity) !model in
-  !ok
-  && Evq.is_empty q
-  && drain_keys even log = keep 0
-  && drain_keys odd log = keep 1
-
-(* Partitions 1-3 of an isolated engine each run a fiber that logs
-   [(now, partition)] every 100ns, ten times; partition 2's raises on its
-   fourth wake-up, inside the second window. *)
-let build_raising_model log =
-  let eng = Engine.create ~partitions:4 ~isolated:true () in
-  for part = 1 to 3 do
-    let (_ : Engine.process) =
-      Engine.spawn eng ~name:(Printf.sprintf "r%d" part) ~partition:part (fun () ->
-          for i = 1 to 10 do
-            Engine.delay eng (Time.ns 100);
-            log := (Time.to_ns (Engine.now eng), part) :: !log;
-            if part = 2 && i = 4 then failwith "boom"
-          done)
-    in
-    ()
-  done;
-  eng
+  !ok && drain_keys q log = !model
 
 (* Words allocated per event while [eng] drains, after a warm-up that grows
    the queue and registry to their peak. *)
@@ -1097,28 +892,9 @@ let churn cycles =
 let evq_tests =
   [
     QCheck_alcotest.to_alcotest
-      (QCheck.Test.make ~name:"pop order is the (time, seq, partition) sort" ~count:500
-         QCheck.(
-           list_of_size Gen.(0 -- 120) (option (triple (int_bound 4) (int_bound 3) (int_bound 3))))
+      (QCheck.Test.make ~name:"pop order is the (time, seq) sort" ~count:500
+         QCheck.(list_of_size Gen.(0 -- 120) (option (pair (int_bound 4) (int_bound 3))))
          evq_law);
-    Alcotest.test_case "run drains a raising window's leftovers in canonical order" `Quick
-      (fun () ->
-        let log = ref [] in
-        let eng = build_raising_model log in
-        (match Engine.run_windowed ~jobs:1 ~lookahead:(Time.ns 250) eng with
-        | exception Failure msg -> check Alcotest.string "the model's exception" "boom" msg
-        | _ -> Alcotest.fail "expected the partition's exception");
-        (* Windows [0, 250) and [300, 550) ran: partitions 1 and 3 logged
-           five times, partition 2 four times before it raised. *)
-        check_int "logged inside the windows" 14 (List.length !log);
-        log := [];
-        Engine.run eng;
-        let rest = List.concat_map (fun at -> [ (at, 1); (at, 3) ]) [ 600; 700; 800; 900; 1000 ] in
-        check
-          (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int))
-          "leftovers by (time, seq, partition)" rest (List.rev !log);
-        check_int "events: 3 starts + 10 + 4 + 10 wake-ups" 27 (Engine.events_executed eng);
-        check_int "clock" 1000 (Time.to_ns (Engine.now eng)));
     Alcotest.test_case "10k spawn/finish cycles keep the registry at the live count" `Quick
       (fun () ->
         let mismatches, words_small = churn 100 in
@@ -1173,6 +949,34 @@ let evq_tests =
             lines);
   ]
 
+(* A process leaves the registry when it finishes; a blocked daemon stays. *)
+let lifecycle_tests =
+  [
+    Alcotest.test_case "finished processes leave the registry" `Quick (fun () ->
+        let eng = Engine.create () in
+        for i = 1 to 50 do
+          let (_ : Engine.process) =
+            Engine.spawn eng ~name:(Printf.sprintf "p%d" i) (fun () ->
+                Engine.delay eng (Time.ns i))
+          in
+          ()
+        done;
+        Engine.run eng;
+        check_int "registry drained" 0 (Engine.registered_processes eng);
+        check (Alcotest.list Alcotest.string) "nothing blocked" []
+          (Engine.blocked_descriptions eng));
+    Alcotest.test_case "blocked daemons stay registered, finished ones do not" `Quick
+      (fun () ->
+        let eng = Engine.create () in
+        let f = Sync.Flag.create ~name:"never" eng 0 in
+        let (_ : Engine.process) =
+          Engine.spawn eng ~name:"d" ~daemon:true (fun () -> Sync.Flag.wait_ge f 1)
+        in
+        let (_ : Engine.process) = Engine.spawn eng ~name:"p" (fun () -> ()) in
+        Engine.run eng;
+        check_int "daemon still live" 1 (Engine.registered_processes eng));
+  ]
+
 (* The per-event allocation guard: a delay or a sleep pushes the process's
    own resume thunk into flat queue columns, so what is left is the effect
    and the captured continuation (a fiber) or the caller's step closure (a
@@ -1223,8 +1027,8 @@ let () =
       ("trace", trace_tests);
       ("engine", engine_tests);
       ("sync", sync_tests);
-      ("partitions", partition_tests);
       ("stackless", stackless_tests);
       ("evq", evq_tests);
+      ("lifecycles", lifecycle_tests);
       ("alloc", alloc_tests);
     ]

@@ -481,25 +481,10 @@ let runtime_tests =
         check Alcotest.string "main" "gpu3" (G.Device.main_lane dev));
   ]
 
-(* --- Lookahead and memoized path costs ---------------------------------- *)
+(* --- Memoized path costs -------------------------------------------------- *)
 
-let lookahead_tests =
+let path_cost_tests =
   [
-    Alcotest.test_case "a100 lookahead bound is nvlink + device initiation" `Quick (fun () ->
-        (* min(1500 + 250, 2500 + min(1900, 250)) = 1750 ns *)
-        check_int "arch bound" 1750 (Time.to_ns (G.Arch.lookahead_bound arch));
-        let eng = Engine.create () in
-        let net = G.Interconnect.create eng ~arch ~num_gpus:4 in
-        check_int "fabric delegates" 1750 (Time.to_ns (G.Interconnect.lookahead net)));
-    Alcotest.test_case "zeroed-latency arch has zero lookahead" `Quick (fun () ->
-        let free =
-          {
-            arch with
-            G.Arch.nvlink_latency = Time.zero;
-            gpu_initiated_latency = Time.zero;
-          }
-        in
-        check_int "zero" 0 (Time.to_ns (G.Arch.lookahead_bound free)));
     Alcotest.test_case "memoized latencies match analytic values on every path" `Quick
       (fun () ->
         let eng = Engine.create () in
@@ -548,7 +533,7 @@ let () =
     [
       ("arch", arch_tests);
       ("buffer", buffer_tests);
-      ("interconnect", net_tests @ lookahead_tests);
+      ("interconnect", net_tests @ path_cost_tests);
       ("kernel", kernel_tests);
       ("stream", stream_tests);
       ("runtime", runtime_tests);

@@ -103,13 +103,28 @@ let test_digest_pdes_invariant () =
   let base = sc () in
   let digest p = Scenario.digest { base with Scenario.pdes = p } in
   let d = digest None in
-  List.iter
-    (fun p -> Alcotest.(check string) "pdes never reaches the cache key" d (digest (Some p)))
-    [ `Seq; `Windowed ];
+  Alcotest.(check string) "pdes never reaches the cache key" d (digest (Some `Seq));
   if Scenario.digest base = Scenario.digest (sc ~iters:7 ()) then
     Alcotest.fail "distinct scenarios share a digest";
   if Scenario.digest base = Scenario.digest (sc ~trace:true ()) then
     Alcotest.fail "requested artifacts must be part of the cache key"
+
+(* Every Ok_resp carries its scenario's digest, so a client may hold on to
+   one: the digest of a fixed scenario must never drift. *)
+let test_digest_pinned () =
+  List.iter
+    (fun (line, hex) ->
+      match Scenario.of_string line with
+      | Error e -> Alcotest.failf "%s: %s" line e
+      | Ok s -> Alcotest.(check string) line hex (Scenario.digest s))
+    [
+      ("stencil variant=cpu-free dims=2d:64x64 iters=6 gpus=2", "c6980921708f5b157d4c74762d15e12f");
+      ( "dace app=jacobi1d arm=cpu-free size=1024 iters=10 gpus=4 pdes=seq",
+        "ec1d42e73191fe6b98fc368c413670ea" );
+      ( "stencil variant=baseline-overlap dims=3d:32x32x32 iters=20 gpus=16 topology=dgx:2 \
+         faults=drop=0.01 fault-seed=3 trace=on metrics=on",
+        "c8eccac6eb9a8bcacb3bf8e37983efa5" );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Frame reassembly                                                   *)
@@ -288,10 +303,9 @@ let test_overload () =
 
 (* Malformed payloads get an error response on the same connection; the
    connection and the daemon both stay usable. *)
-let test_malformed () =
-  let path = "t-serve-malformed.sock" in
-  let srv = start_server path in
-  (* Wait for the socket with the real client, then speak raw frames. *)
+(* A raw connection to the daemon at [path], once it listens, and a reader
+   of its responses. *)
+let raw_connection path =
   let probe = connect_retry path in
   Serve.Client.close probe;
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -308,6 +322,25 @@ let test_malformed () =
         | Ok r -> r
         | Error e -> Alcotest.failf "bad response: %s" e))
   in
+  (fd, recv_response)
+
+(* A run request for [sc ()] whose scenario names the mode [mode]: what a
+   client built before that mode was removed would send. *)
+let run_frame_with_pdes ~id mode =
+  let run_json =
+    J.to_string ~indent:0 (P.request_to_json { P.req_id = id; req_op = P.Run (sc ()) })
+  in
+  let pdes_null = "\"pdes\":null" in
+  let at = Option.get (Astring.String.find_sub ~sub:pdes_null run_json) in
+  String.sub run_json 0 at
+  ^ Printf.sprintf "\"pdes\":%S" mode
+  ^ String.sub run_json (at + String.length pdes_null)
+      (String.length run_json - at - String.length pdes_null)
+
+let test_malformed () =
+  let path = "t-serve-malformed.sock" in
+  let srv = start_server path in
+  let fd, recv_response = raw_connection path in
   P.write_frame fd "this is not json";
   (match recv_response () with
   | P.Error_resp _ -> ()
@@ -322,20 +355,11 @@ let test_malformed () =
     Alcotest.(check int) "both bad frames counted" 2 st.P.errors
   | _ -> Alcotest.fail "daemon died after malformed input");
   (* A removed driver name is refused with the valid modes listed. *)
-  let run_json =
-    J.to_string ~indent:0 (P.request_to_json { P.req_id = 43; req_op = P.Run (sc ()) })
-  in
-  let pdes_null = "\"pdes\":null" in
-  let at = Option.get (Astring.String.find_sub ~sub:pdes_null run_json) in
-  P.write_frame fd
-    (String.sub run_json 0 at ^ "\"pdes\":\"timewarp\""
-    ^ String.sub run_json (at + String.length pdes_null)
-        (String.length run_json - at - String.length pdes_null));
+  P.write_frame fd (run_frame_with_pdes ~id:43 "timewarp");
   (match recv_response () with
   | P.Error_resp { id = 43; message } ->
     Alcotest.(check bool) "valid modes listed" true
-      (Astring.String.is_infix
-         ~affix:"valid modes are \"seq\", \"sequential\", \"windowed\", \"pdes\"" message)
+      (Astring.String.is_infix ~affix:"valid modes are \"seq\", \"sequential\"" message)
   | _ -> Alcotest.fail "a timewarp scenario was not refused");
   (try Unix.close fd with Unix.Unix_error _ -> ());
   (* A framing violation (not even a length header) costs that connection
@@ -351,6 +375,35 @@ let test_malformed () =
   (match Serve.Client.run c ~id:3 (sc ()) with
   | Ok (P.Ok_resp { body = P.Run_result _; _ }) -> ()
   | _ -> Alcotest.fail "daemon unusable after a framing violation");
+  clean_shutdown c ~id:4 srv
+
+(* The windowed driver and its "pdes" alias are gone: a scenario naming
+   either is answered with an error listing the valid modes, and the
+   daemon goes on serving. *)
+let test_windowed_refused () =
+  let path = "t-serve-windowed.sock" in
+  let srv = start_server path in
+  let fd, recv_response = raw_connection path in
+  List.iteri
+    (fun i mode ->
+      let id = 50 + i in
+      P.write_frame fd (run_frame_with_pdes ~id mode);
+      match recv_response () with
+      | P.Error_resp { id = got; message } ->
+        Alcotest.(check int) "id echoed" id got;
+        Alcotest.(check bool)
+          (mode ^ ": valid modes listed")
+          true
+          (Astring.String.is_infix
+             ~affix:(Printf.sprintf "%S: valid modes are \"seq\", \"sequential\"" mode)
+             message)
+      | _ -> Alcotest.failf "a pdes=%s scenario was not refused" mode)
+    [ "windowed"; "pdes" ];
+  (try Unix.close fd with Unix.Unix_error _ -> ());
+  let c = connect_retry path in
+  (match Serve.Client.run c ~id:3 (sc ()) with
+  | Ok (P.Ok_resp { body = P.Run_result _; _ }) -> ()
+  | _ -> Alcotest.fail "daemon unusable after refusing a removed mode");
   clean_shutdown c ~id:4 srv
 
 (* A client killed mid-request must not poison the daemon, and the socket
@@ -383,6 +436,7 @@ let () =
           Alcotest.test_case "response round-trip" `Quick test_response_roundtrip;
           Alcotest.test_case "digest ignores pdes, keys on the rest" `Quick
             test_digest_pdes_invariant;
+          Alcotest.test_case "digests of fixed scenarios are pinned" `Quick test_digest_pinned;
         ] );
       ( "framing",
         [
@@ -396,6 +450,7 @@ let () =
           Alcotest.test_case "identical requests coalesce to one simulation" `Quick test_coalesce;
           Alcotest.test_case "overload is a structured rejection" `Quick test_overload;
           Alcotest.test_case "malformed input is isolated" `Quick test_malformed;
+          Alcotest.test_case "a windowed scenario is refused" `Quick test_windowed_refused;
           Alcotest.test_case "client death mid-request, socket reusable" `Quick
             test_kill_mid_request;
         ] );
